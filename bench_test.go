@@ -270,28 +270,6 @@ func BenchmarkFig7_EntropyOrdered(b *testing.B) {
 
 // -------------------------------------------------------------- Ablations
 
-// BenchmarkAblation_IndexCache measures the sorted-index cache: repeated OD
-// checks over short lists hit the cache heavily during level-2 processing.
-func BenchmarkAblation_IndexCache(b *testing.B) {
-	load()
-	for _, cache := range []struct {
-		name string
-		size int
-	}{{"off", -1}, {"on64", 64}} {
-		size := cache.size
-		if size < 0 {
-			size = 1 // effectively off: evicted immediately
-		}
-		b.Run(cache.name, func(b *testing.B) {
-			opts := guard()
-			opts.IndexCacheSize = size
-			for i := 0; i < b.N; i++ {
-				core.Discover(benchData.ncvoter, opts)
-			}
-		})
-	}
-}
-
 // BenchmarkAblation_ColumnReduction measures Section 4.1's reduction phase:
 // with it disabled, equivalent and constant columns re-enter the lattice.
 func BenchmarkAblation_ColumnReduction(b *testing.B) {
@@ -310,12 +288,13 @@ func BenchmarkAblation_ColumnReduction(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_CheckPrimitives compares the two checking primitives on
-// a large relation: the early-exit OCD check versus the exhaustive
-// classifying check.
+// BenchmarkAblation_CheckPrimitives compares the checking primitives on a
+// large relation: the early-exit OCD check (which derives the partition of
+// XY from X's cached one), the exhaustive classifying OD check, and a bare
+// two-column partition derivation copied out for the caller.
 func BenchmarkAblation_CheckPrimitives(b *testing.B) {
 	load()
-	chk := order.NewChecker(benchData.lineitem, 0)
+	chk := order.NewPartitionChecker(benchData.lineitem)
 	x := attr.NewList(4) // quantity
 	y := attr.NewList(5) // extendedprice
 	b.Run("CheckOCD", func(b *testing.B) {
@@ -328,9 +307,10 @@ func BenchmarkAblation_CheckPrimitives(b *testing.B) {
 			chk.CheckODFull(x, y)
 		}
 	})
-	b.Run("SortedIndex", func(b *testing.B) {
+	b.Run("Partition", func(b *testing.B) {
+		xy := x.Concat(y)
 		for i := 0; i < b.N; i++ {
-			chk.SortedIndex(x)
+			chk.Partition(xy)
 		}
 	})
 }
@@ -400,81 +380,4 @@ func BenchmarkExtension_UCC(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ucc.Discover(benchData.ncvoter, ucc.Options{Timeout: 10 * time.Second})
 	}
-}
-
-// BenchmarkAblation_RadixIndex compares the two sorted-index builders on a
-// large LINEITEM sample: LSD counting sort over rank codes versus the
-// comparison sort (rank encoding is what makes the radix path possible).
-func BenchmarkAblation_RadixIndex(b *testing.B) {
-	load()
-	r := benchData.lineitem
-	lists := []attr.List{
-		attr.NewList(0),       // orderkey
-		attr.NewList(10, 4),   // shipdate, quantity
-		attr.NewList(1, 2, 3), // partkey, suppkey, linenumber
-	}
-	b.Run("radix", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, l := range lists {
-				order.BuildIndexRadixForBench(r, l)
-			}
-		}
-	})
-	b.Run("comparison", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, l := range lists {
-				order.BuildIndexComparisonForBench(r, l)
-			}
-		}
-	})
-}
-
-// BenchmarkAblation_PartitionChecker compares the two checking backends on
-// a LINEITEM-sized relation: fresh sorts per candidate versus incrementally
-// derived sorted partitions (the §5.3.1 technique).
-func BenchmarkAblation_PartitionChecker(b *testing.B) {
-	load()
-	r := benchData.lineitem
-	// a chain of related candidates, the access pattern of the BFS tree
-	cands := []struct{ x, y attr.List }{
-		{attr.NewList(0), attr.NewList(3)},
-		{attr.NewList(0, 3), attr.NewList(4)},
-		{attr.NewList(0, 3, 4), attr.NewList(5)},
-		{attr.NewList(0), attr.NewList(10)},
-		{attr.NewList(0, 10), attr.NewList(11)},
-	}
-	b.Run("resort", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			chk := order.NewChecker(r, 64)
-			for _, c := range cands {
-				chk.CheckOCD(c.x, c.y)
-			}
-		}
-	})
-	b.Run("sorted-partitions", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			pc := order.NewPartitionChecker(r, 64)
-			for _, c := range cands {
-				pc.CheckOCD(c.x, c.y)
-			}
-		}
-	})
-}
-
-// BenchmarkAblation_Backend runs full discovery under both checking
-// backends on LINEITEM.
-func BenchmarkAblation_Backend(b *testing.B) {
-	load()
-	b.Run("resort", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			core.Discover(benchData.lineitem, guard())
-		}
-	})
-	b.Run("sorted-partitions", func(b *testing.B) {
-		opts := guard()
-		opts.UseSortedPartitions = true
-		for i := 0; i < b.N; i++ {
-			core.Discover(benchData.lineitem, opts)
-		}
-	})
 }

@@ -116,7 +116,7 @@ func main() {
 		}
 	}
 
-	chk := order.NewChecker(r, 64)
+	chk := order.NewPartitionChecker(r)
 	chk.SetObs(reg)
 	apx := approx.NewChecker(r)
 	failures := 0

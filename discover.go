@@ -34,13 +34,9 @@ type Options struct {
 	// DisableColumnReduction skips the constant/equivalent column
 	// reduction phase; for ablation only.
 	DisableColumnReduction bool
-	// UseSortedPartitions switches the order-checking backend to
-	// incrementally derived sorted partitions (the §5.3.1 technique).
-	// Results are identical to the default re-sorting backend.
-	UseSortedPartitions bool
 	// MaxMemoryBytes is a soft heap budget: when the heap crosses it at a
 	// level boundary the engine degrades instead of growing toward an OOM
-	// kill — with a SpillDir it moves its index/partition caches to disk,
+	// kill — with a SpillDir it moves its partition cache to disk,
 	// otherwise it drops them — and truncates the run (reason
 	// "memory-budget") only when nothing could be spilled and the heap
 	// stays over budget. Zero means no budget.
@@ -245,8 +241,9 @@ func (t *Table) Discover(opts Options) (*Result, error) {
 }
 
 // DiscoverContext runs OCDDISCOVER under a context. Cancellation is
-// cooperative but fast (an atomic flag polled deep inside the sort loops),
-// so a cancel lands in milliseconds even on multi-million-row levels.
+// cooperative but fast (an atomic flag polled deep inside the partition
+// derivation and scan loops), so a cancel lands in milliseconds even on
+// multi-million-row levels.
 //
 // On cancellation, timeout, or a recovered panic the Result is non-nil and
 // well-formed — it holds every dependency fully validated before the stop,
@@ -284,7 +281,6 @@ func (t *Table) DiscoverContext(ctx context.Context, opts Options) (*Result, err
 		MaxLevel:               opts.MaxLevel,
 		Columns:                cols,
 		DisableColumnReduction: opts.DisableColumnReduction,
-		UseSortedPartitions:    opts.UseSortedPartitions,
 		MaxMemoryBytes:         opts.MaxMemoryBytes,
 		SpillDir:               opts.SpillDir,
 		CheckpointPath:         opts.CheckpointPath,

@@ -26,7 +26,7 @@ func TestCrossAlgorithmSingletonAgreement(t *testing.T) {
 	rng := rand.New(rand.NewSource(113))
 	for trial := 0; trial < 25; trial++ {
 		r := randomRel(rng, 3+rng.Intn(20), 2+rng.Intn(4), 2+rng.Intn(3))
-		chk := order.NewChecker(r, 16)
+		chk := order.NewPartitionChecker(r)
 
 		ores := orderalg.Discover(r, orderalg.Options{})
 		cres := core.Discover(r, core.Options{Workers: 2})

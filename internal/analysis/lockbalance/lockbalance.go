@@ -4,8 +4,8 @@
 // inside the critical section.
 //
 // The discovery core funnels every candidate check of the parallel BFS
-// through one shared index cache (order.Checker, order.PartitionChecker),
-// so its mutexes sit on the hottest path of the system. Two bug classes
+// through one shared partition cache (order.PartitionChecker), so any mutex
+// guarding such a cache sits on the hottest path of the system. Two bug classes
 // are reported:
 //
 //  1. leak — a path from mu.Lock() reaches a return without an
@@ -13,8 +13,8 @@
 //     leaks the checker mutex deadlocks the whole level fan-out.
 //  2. held — a blocking or expensive operation executes while a mutex
 //     may be held: channel send/receive, (*sync.WaitGroup).Wait,
-//     time.Sleep, any sort.* call, or the module's index/partition
-//     derivation helpers (buildIndex, Extend, SortedIndex). These
+//     time.Sleep, any sort.* call, or the module's partition
+//     derivation helpers (Extend, extendInto, derive, Partition). These
 //     serialize all workers behind one cache probe.
 //
 // It also flags re-locking a mutex that is already held on every
@@ -295,13 +295,12 @@ func (fc *funcCheck) expensiveCall(call *ast.CallExpr) (string, bool) {
 			}
 		}
 	}
-	// Module-local derivation helpers: a sorted-index or partition
-	// derivation is O(rows) to O(rows·log rows) and must never run
-	// inside a cache critical section.
+	// Module-local derivation helpers: a partition derivation is O(rows)
+	// per attribute and must never run inside a cache critical section.
 	switch fn.Name() {
-	case "buildIndex", "Extend", "SortedIndex":
+	case "Extend", "extendInto", "derive", "Partition":
 		if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-			return "index/partition derivation " + fn.Name(), true
+			return "partition derivation " + fn.Name(), true
 		}
 	}
 	return "", false

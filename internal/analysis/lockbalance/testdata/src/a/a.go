@@ -126,6 +126,36 @@ func SleepWhileLocked(c *cache) {
 	c.mu.Unlock()
 }
 
+// partitions mimics the checker's derivation helpers.
+type partitions struct{ idx []int32 }
+
+func (p *partitions) Extend(a int) *partitions                { return p }
+func (p *partitions) extendInto(out *partitions, a int) bool  { return true }
+func (p *partitions) derive(x, y []int) (*partitions, *cache) { return p, nil }
+func (p *partitions) Partition(x []int) *partitions           { return p }
+
+// DeriveWhileLocked runs every partition derivation helper with the mutex
+// held.
+func DeriveWhileLocked(c *cache, p *partitions) {
+	c.mu.Lock()
+	p.Extend(1)        // want `partition derivation Extend while c\.mu is held`
+	p.extendInto(p, 1) // want `partition derivation extendInto while c\.mu is held`
+	p.derive(nil, nil) // want `partition derivation derive while c\.mu is held`
+	p.Partition(nil)   // want `partition derivation Partition while c\.mu is held`
+	c.mu.Unlock()
+}
+
+// DeriveOutsideLock probes under the lock and derives after it: no finding.
+func DeriveOutsideLock(c *cache, p *partitions, k string) *partitions {
+	c.mu.Lock()
+	_, ok := c.m[k]
+	c.mu.Unlock()
+	if ok {
+		return p
+	}
+	return p.Partition(nil)
+}
+
 // SortOutsideLock hoists the expensive work out: no finding.
 func SortOutsideLock(c *cache, xs []int) {
 	sort.Ints(xs)

@@ -31,12 +31,12 @@ import (
 // Checker computes approximate-OD errors against a fixed relation.
 type Checker struct {
 	r   *relation.Relation
-	chk *order.Checker
+	chk *order.PartitionChecker
 }
 
 // NewChecker returns a checker for r.
 func NewChecker(r *relation.Relation) *Checker {
-	return &Checker{r: r, chk: order.NewChecker(r, 64)}
+	return &Checker{r: r, chk: order.NewPartitionChecker(r)}
 }
 
 // KeepCount returns s: the maximum number of rows that can be kept so that
@@ -46,7 +46,7 @@ func (c *Checker) KeepCount(x, y attr.List) int {
 	if m == 0 {
 		return 0
 	}
-	// Rank every row's X-tuple and Y-tuple by sorting.
+	// Rank every row's X-tuple and Y-tuple by their sorted partitions.
 	kx := tupleRanks(c.chk, c.r, x)
 	ky := tupleRanks(c.chk, c.r, y)
 
@@ -123,16 +123,17 @@ func (c *Checker) OCDError(x, y attr.List) float64 {
 }
 
 // tupleRanks assigns each row the dense rank of its tuple projection on
-// the list (rank 0 = ⪯-smallest). Ties share a rank.
-func tupleRanks(chk *order.Checker, r *relation.Relation, l attr.List) []int32 {
-	idx := chk.SortedIndex(l)
+// the list (rank 0 = ⪯-smallest): the index of its class in the list's
+// sorted partition. Ties share a rank.
+func tupleRanks(chk *order.PartitionChecker, r *relation.Relation, l attr.List) []int32 {
+	sp := chk.Partition(l)
 	ranks := make([]int32, r.NumRows())
-	rank := int32(0)
-	for i, row := range idx {
-		if i > 0 && order.CompareRows(r, int(idx[i-1]), int(row), l) != 0 {
-			rank++
+	start := int32(0)
+	for k, end := range sp.Ends {
+		for _, row := range sp.Idx[start:end] {
+			ranks[row] = int32(k)
 		}
-		ranks[row] = rank
+		start = end
 	}
 	return ranks
 }

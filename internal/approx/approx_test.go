@@ -168,7 +168,7 @@ func TestQuickZeroErrorIffExact(t *testing.T) {
 		}
 		r := rel(rows)
 		c := NewChecker(r)
-		exact := order.NewChecker(r, 4).CheckOD(ids(0), ids(1))
+		exact := order.NewPartitionChecker(r).CheckOD(ids(0), ids(1))
 		if (c.Error(ids(0), ids(1)) == 0) != exact {
 			t.Fatalf("trial %d: zero-error disagrees with exact check", trial)
 		}

@@ -122,7 +122,7 @@ func TestSoundnessOnInstances(t *testing.T) {
 	rng := rand.New(rand.NewSource(103))
 	for trial := 0; trial < 20; trial++ {
 		r := randomRelation(rng, 2+rng.Intn(12), 3, 1+rng.Intn(3))
-		chk := order.NewChecker(r, 16)
+		chk := order.NewPartitionChecker(r)
 		lists := enumerateLists(universe(3), 2)
 		var base []OD
 		for _, x := range lists {

@@ -96,19 +96,19 @@ func TestWorkerPanicErrorFreeWrapper(t *testing.T) {
 	assertWellFormed(t, r, res)
 }
 
-// TestCheckerPanicIsolated: a panic deep inside the re-sorting checker (not
-// in worker code) is still attributed to the worker's current candidate.
+// TestCheckerPanicIsolated: a panic deep inside the checker (not in worker
+// code) is still attributed to the worker's current candidate.
 func TestCheckerPanicIsolated(t *testing.T) {
 	defer faultinject.Reset()
 	baseline := runtime.NumGoroutine()
 	r := correlatedRelation(t, 120)
 	// The reduction phase performs exactly 30 checker calls (6 varying
 	// columns, all pairs); the 40th lands inside a level worker.
-	faultinject.Arm("order.checker.check", faultinject.Rule{
+	faultinject.Arm("order.partition.check", faultinject.Rule{
 		Action: faultinject.ActionPanic, Nth: 40,
 	})
 	res, err := DiscoverContext(context.Background(), r, Options{Workers: 4})
-	faultinject.Disarm("order.checker.check")
+	faultinject.Disarm("order.partition.check")
 	if err == nil {
 		t.Fatal("checker panic must surface as an error")
 	}
@@ -123,8 +123,8 @@ func TestCheckerPanicIsolated(t *testing.T) {
 	settleGoroutines(t, baseline)
 }
 
-// TestPartitionBackendPanic: same isolation contract on the sorted-partition
-// checking backend.
+// TestPartitionBackendPanic: same isolation contract with a single worker,
+// where the panicking check runs on the level's only goroutine.
 func TestPartitionBackendPanic(t *testing.T) {
 	defer faultinject.Reset()
 	baseline := runtime.NumGoroutine()
@@ -132,9 +132,7 @@ func TestPartitionBackendPanic(t *testing.T) {
 	faultinject.Arm("order.partition.check", faultinject.Rule{
 		Action: faultinject.ActionPanic, Nth: 40,
 	})
-	res, err := DiscoverContext(context.Background(), r, Options{
-		Workers: 4, UseSortedPartitions: true,
-	})
+	res, err := DiscoverContext(context.Background(), r, Options{Workers: 1})
 	faultinject.Disarm("order.partition.check")
 	if err == nil {
 		t.Fatal("partition checker panic must surface as an error")
@@ -147,18 +145,18 @@ func TestPartitionBackendPanic(t *testing.T) {
 }
 
 // TestCachePutPanicHitsBoundaryRecover: a panic raised outside the level
-// workers (here: the index-cache insert during the reduction phase, on the
-// caller's goroutine) is converted by the DiscoverContext boundary recover
+// workers (here: the partition-cache insert during the reduction phase, on
+// the caller's goroutine) is converted by the DiscoverContext boundary recover
 // into a candidate-less PanicError plus the partial result.
 func TestCachePutPanicHitsBoundaryRecover(t *testing.T) {
 	defer faultinject.Reset()
 	baseline := runtime.NumGoroutine()
 	r := seededRelation(t, 17, 80, 5)
-	faultinject.Arm("order.checker.cacheput", faultinject.Rule{
+	faultinject.Arm("order.partition.cacheput", faultinject.Rule{
 		Action: faultinject.ActionPanic, Nth: 1,
 	})
 	res, err := DiscoverContext(context.Background(), r, Options{Workers: 2})
-	faultinject.Disarm("order.checker.cacheput")
+	faultinject.Disarm("order.partition.cacheput")
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want a *PanicError", err)

@@ -13,7 +13,6 @@ import (
 	"ocd/internal/attr"
 	"ocd/internal/checkpoint"
 	"ocd/internal/faultinject"
-	"ocd/internal/obs"
 	"ocd/internal/order"
 	"ocd/internal/relation"
 	"ocd/internal/spill"
@@ -35,9 +34,10 @@ func Discover(r *relation.Relation, opts Options) *Result {
 
 // DiscoverContext runs OCDDISCOVER under a context. Cancellation is
 // cooperative but fast: a watcher goroutine arms an atomic stop flag that
-// the level workers, the reduction phase and the sort loops deep inside
-// internal/order poll, so a cancel lands in milliseconds even mid-sort on a
-// wide level — no time.Now() or channel operations on the hot path.
+// the level workers, the reduction phase and the partition derivation and
+// scan loops deep inside internal/order poll, so a cancel lands in
+// milliseconds even mid-derivation on a wide level — no time.Now() or
+// channel operations on the hot path.
 //
 // The returned Result is never nil and always well-formed: every dependency
 // in it was fully validated before the stop landed. The error is non-nil
@@ -60,42 +60,9 @@ func DiscoverContext(ctx context.Context, r *relation.Relation, opts Options) (r
 	return d.run(ctx)
 }
 
-// checker abstracts the order-checking backend: the re-sorting Checker
-// (default) or the incrementally derived sorted partitions of §5.3.1.
-type checker interface {
-	CheckOCD(x, y attr.List) bool
-	CheckOD(x, y attr.List) bool
-	OrderEquivalent(x, y attr.List) bool
-	Checks() int64
-	Relation() *relation.Relation
-	// SetStopFlag arms cooperative cancellation inside the backend's sort
-	// and scan loops; aborted checks conservatively report invalid and are
-	// never cached.
-	SetStopFlag(stop *atomic.Bool)
-	// SetObs attaches the backend's cache instrumentation (hit/miss
-	// counters, partition-size histogram) to a metrics registry; a nil
-	// registry resolves to no-op handles.
-	SetObs(reg *obs.Registry)
-	// ReleaseMemory drops the backend's index/partition cache, the
-	// graceful-degradation step of the soft memory budget.
-	ReleaseMemory()
-	// SetSpill attaches an out-of-core spill manager: cache evictions write
-	// checksummed disk segments and misses reload them. Spilled entries are
-	// pure cache; I/O failures degrade to recompute, never to wrong results.
-	SetSpill(sm *spill.Manager)
-	// EvictToSpill moves the backend's whole cache to disk — the first rung
-	// of the memory-budget ladder. Returns the number of entries durably
-	// spilled; 0 means the rung made no progress (nothing cached, no
-	// manager attached, or every write failed).
-	EvictToSpill() int
-	// SpillStats reports (entries spilled to disk, entries reloaded from
-	// disk) so far.
-	SpillStats() (int64, int64)
-}
-
 type discoverer struct {
 	r        *relation.Relation
-	chk      checker
+	chk      *order.PartitionChecker
 	opts     Options
 	workers  int
 	deadline time.Time // zero when no timeout
@@ -136,19 +103,15 @@ type discoverer struct {
 	// a panicking worker, or a budget check; zero while running. Workers
 	// poll it between candidates — one atomic load, nothing else.
 	stopReason atomic.Int32
-	// hardStop aborts work mid-check: it is shared with the checking
-	// backend, whose sort/scan loops poll it. Only context cancellation
-	// and worker panics set it; a soft Timeout lets the current checks
-	// finish so reduction output stays complete (the documented contract:
-	// timeout stops the traversal, cancellation aborts everything).
+	// hardStop aborts work mid-check: it is shared with the checker, whose
+	// derivation/scan loops poll it. Only context cancellation and worker
+	// panics set it; a soft Timeout lets the current checks finish so
+	// reduction output stays complete (the documented contract: timeout
+	// stops the traversal, cancellation aborts everything).
 	hardStop atomic.Bool
 }
 
 func newDiscoverer(r *relation.Relation, opts Options) *discoverer {
-	cacheSize := opts.IndexCacheSize
-	if cacheSize == 0 {
-		cacheSize = defaultIndexCacheSize
-	}
 	w := opts.workers()
 	if w == 0 {
 		w = runtime.GOMAXPROCS(0)
@@ -157,15 +120,9 @@ func newDiscoverer(r *relation.Relation, opts Options) *discoverer {
 	if universe == nil {
 		universe = r.Attrs()
 	}
-	var chk checker
-	if opts.UseSortedPartitions {
-		chk = order.NewPartitionChecker(r, cacheSize)
-	} else {
-		chk = order.NewChecker(r, cacheSize)
-	}
 	d := &discoverer{
 		r:        r,
-		chk:      chk,
+		chk:      order.NewPartitionChecker(r),
 		opts:     opts,
 		workers:  w,
 		universe: universe,
@@ -197,7 +154,7 @@ func (d *discoverer) reason() TruncateReason {
 }
 
 // requestStop records the first stop reason; hard stops additionally arm
-// the checker-level abort flag so multi-second sorts bail mid-way.
+// the checker-level abort flag so long derivations bail mid-way.
 func (d *discoverer) requestStop(reason TruncateReason, hard bool) {
 	d.stopReason.CompareAndSwap(0, int32(reason))
 	if hard {
@@ -358,8 +315,9 @@ func (d *discoverer) run(ctx context.Context) (*Result, error) {
 	// The initial frontier is itself a consistent cut — a run killed during
 	// its first level resumes from here rather than re-running reduction.
 	// Except when a hard stop already landed: reduction checks may have been
-	// aborted mid-sort then, leaving degraded reduction output that must not
-	// become durable, so the barrier stays invalid and nothing is snapshotted.
+	// aborted mid-derivation then, leaving degraded reduction output that
+	// must not become durable, so the barrier stays invalid and nothing is
+	// snapshotted.
 	if d.reason() == TruncateNone || d.opts.Resume != nil {
 		d.noteBarrier(level, levelNo, res)
 	}
@@ -400,7 +358,7 @@ func (d *discoverer) run(ctx context.Context) (*Result, error) {
 			break
 		}
 		// An incomplete level means some worker bailed mid-range (or a stop
-		// aborted a check mid-sort, silently suppressing output): its output
+		// aborted a check mid-scan, silently suppressing output): its output
 		// is partial, so the run must stop and report truncation rather than
 		// traverse an incomplete frontier. With no stop reason and no panic,
 		// the only remaining cause is the candidate budget — whose deduped
@@ -500,7 +458,7 @@ func (d *discoverer) processLevel(level []attr.Pair, reduced []attr.ID, res *Res
 		}
 	}
 	// A stop request that landed after the last per-candidate poll can still
-	// have aborted a check mid-sort (conservatively reported invalid), so a
+	// have aborted a check mid-scan (conservatively reported invalid), so a
 	// pending reason also disqualifies the level even if no worker noticed.
 	if d.reason() != TruncateNone {
 		complete = false
@@ -509,7 +467,7 @@ func (d *discoverer) processLevel(level []attr.Pair, reduced []attr.ID, res *Res
 }
 
 // runWorker isolates one worker's traversal: a panic anywhere under it
-// (candidate processing, a checker backend, the cache) converts into a
+// (candidate processing, the checker, its cache) converts into a
 // *PanicError naming the candidate, requests a hard stop so sibling workers
 // bail quickly, and leaves the worker's completed output intact.
 func (d *discoverer) runWorker(level []attr.Pair, from, stride int, reduced []attr.ID, out *workerOut) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -134,7 +135,7 @@ func TestDiscoverNumbersNoSpuriousODs(t *testing.T) {
 	res := Discover(r, Options{Workers: 1})
 	// The OD [B] → [A,C] that a buggy FASTOD reported must not be emitted
 	// and must not hold on the data.
-	chk := order.NewChecker(r, 4)
+	chk := order.NewPartitionChecker(r)
 	if chk.CheckOD(ids(1), ids(0, 2)) {
 		t.Fatal("B → AC holds on NUMBERS?! dataset transcription wrong")
 	}
@@ -250,7 +251,7 @@ func TestSoundnessOnRandomData(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		r := randomRelation(rng, 2+rng.Intn(25), 2+rng.Intn(5), 1+rng.Intn(5))
 		res := Discover(r, Options{Workers: 2})
-		chk := order.NewChecker(r, 16)
+		chk := order.NewPartitionChecker(r)
 		for _, d := range res.OCDs {
 			if !chk.CheckOCD(d.X, d.Y) {
 				t.Fatalf("trial %d: emitted OCD %v ~ %v invalid", trial, d.X, d.Y)
@@ -284,7 +285,10 @@ func TestSoundnessOnRandomData(t *testing.T) {
 // of them are valid OCDs. It is an independent (sequential, recursive)
 // re-derivation of the traversal contract used to validate the BFS engine.
 type treeOracle struct {
-	chk     *order.Checker
+	chk interface {
+		CheckOCD(x, y attr.List) bool
+		CheckOD(x, y attr.List) bool
+	}
 	reduced []attr.ID
 	reached map[string]bool
 	valid   map[string]bool // unordered keys of valid reachable OCDs
@@ -292,8 +296,15 @@ type treeOracle struct {
 }
 
 func newTreeOracle(r *relation.Relation) (*treeOracle, *reduction) {
-	chk := order.NewChecker(r, 32)
-	red := columnsReduction(chk, r.Attrs())
+	chk := order.NewPartitionChecker(r)
+	return newTreeOracleWith(chk, columnsReduction(chk, r.Attrs()))
+}
+
+// newTreeOracleWith walks the tree over red's columns with the given checks.
+func newTreeOracleWith(chk interface {
+	CheckOCD(x, y attr.List) bool
+	CheckOD(x, y attr.List) bool
+}, red *reduction) (*treeOracle, *reduction) {
 	o := &treeOracle{
 		chk:     chk,
 		reduced: red.reduced,
@@ -398,22 +409,24 @@ func TestMaxLevelTruncates(t *testing.T) {
 }
 
 func TestTimeoutTruncates(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	// Quasi-constant columns make the tree huge; a zero-ish timeout must
-	// stop the run promptly and flag truncation.
+	// Ten columns that all grow with the row number, at different rates:
+	// every pair is order compatible but none orders another, so every
+	// candidate is valid and extended and the tree is huge. A zero-ish
+	// timeout must stop the run promptly and flag truncation.
+	divs := []int{2, 3, 5, 7, 11, 13, 17, 19, 23, 29}
 	data := make([][]int, 300)
 	for i := range data {
-		row := make([]int, 10)
-		for j := range row {
-			row[j] = rng.Intn(2)
+		row := make([]int, len(divs))
+		for j, d := range divs {
+			row[j] = i / d
 		}
 		data[i] = row
 	}
-	r := relation.FromInts("qc", nil, data)
+	r := relation.FromInts("monotone", nil, data)
 	start := time.Now()
 	res := Discover(r, Options{Workers: 2, Timeout: time.Millisecond})
-	if !res.Stats.Truncated {
-		t.Skip("relation too easy; discovery finished within the timeout")
+	if !res.Stats.Truncated || res.Stats.Reason != TruncateTimeout {
+		t.Fatalf("run not truncated by the timeout: %+v", res.Stats)
 	}
 	if time.Since(start) > 5*time.Second {
 		t.Error("timeout not honoured")
@@ -526,7 +539,7 @@ func TestExpansionSubstitutesEquivalents(t *testing.T) {
 		t.Error("expansion lacks tax → bracket")
 	}
 	// And all expanded dependencies must hold on the instance.
-	chk := order.NewChecker(taxTable(), 16)
+	chk := order.NewPartitionChecker(taxTable())
 	for _, d := range exp {
 		if !chk.CheckOD(d.X, d.Y) {
 			t.Errorf("expanded OD %v → %v invalid", d.X, d.Y)
@@ -544,24 +557,59 @@ func TestDeterministicOutputOrder(t *testing.T) {
 	}
 }
 
-// TestSortedPartitionBackendMatches: the two checking backends must produce
-// byte-identical results (§5.3.1's sorted-partition strategy is an
-// implementation detail, not a semantics change).
+// pairwise checks dependencies straight from Definition 2.1 over all row
+// pairs: no sorting, no partitions, nothing shared with internal/order but
+// the ⪯ comparison of two rows.
+type pairwise struct{ r *relation.Relation }
+
+func (p pairwise) CheckOD(x, y attr.List) bool {
+	for s := 0; s < p.r.NumRows(); s++ {
+		for t := 0; t < p.r.NumRows(); t++ {
+			if order.CompareRows(p.r, s, t, x) <= 0 && order.CompareRows(p.r, s, t, y) > 0 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func (p pairwise) CheckOCD(x, y attr.List) bool {
+	return p.CheckOD(x.Concat(y), y.Concat(x)) && p.CheckOD(y.Concat(x), x.Concat(y))
+}
+
+// TestSortedPartitionBackendMatches: discovery on the sorted-partition
+// kernel reaches exactly the OCDs and ODs that the tree oracle finds with
+// pairwise checks, and its reduction classes and constants hold pairwise.
 func TestSortedPartitionBackendMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(233))
 	for trial := 0; trial < 25; trial++ {
 		r := randomRelation(rng, 3+rng.Intn(30), 2+rng.Intn(5), 1+rng.Intn(4))
-		a := Discover(r, Options{Workers: 2})
-		b := Discover(r, Options{Workers: 2, UseSortedPartitions: true})
-		if !sameOCDs(a.OCDs, b.OCDs) || !sameODs(a.ODs, b.ODs) {
-			t.Fatalf("trial %d: backends disagree\nresort: %v / %v\npartitions: %v / %v",
-				trial, a.OCDs, a.ODs, b.OCDs, b.ODs)
+		res := Discover(r, Options{Workers: 2})
+		ref := pairwise{r}
+		oracle, red := newTreeOracleWith(ref, columnsReduction(order.NewPartitionChecker(r), r.Attrs()))
+		got := map[string]bool{}
+		for _, d := range res.OCDs {
+			got[attr.NewPair(d.X, d.Y).UnorderedKey()] = true
 		}
-		if a.Stats.Candidates != b.Stats.Candidates {
-			t.Fatalf("trial %d: candidate counts differ", trial)
+		gotOD := map[string]bool{}
+		for _, d := range res.ODs {
+			gotOD[attr.NewPair(d.X, d.Y).Key()] = true
 		}
-		if len(a.EquivClasses) != len(b.EquivClasses) || len(a.Constants) != len(b.Constants) {
-			t.Fatalf("trial %d: reduction output differs", trial)
+		if fmt.Sprint(got) != fmt.Sprint(oracle.valid) || fmt.Sprint(gotOD) != fmt.Sprint(oracle.ods) {
+			t.Fatalf("trial %d: kernel %v / %v\npairwise %v / %v", trial, got, gotOD, oracle.valid, oracle.ods)
+		}
+		for _, class := range red.classes {
+			for _, other := range class[1:] {
+				a, b := attr.Singleton(class[0]), attr.Singleton(other)
+				if !ref.CheckOD(a, b) || !ref.CheckOD(b, a) {
+					t.Fatalf("trial %d: class %v not order equivalent pairwise", trial, class)
+				}
+			}
+		}
+		for _, c := range res.Constants {
+			if !ref.CheckOD(attr.List{}, attr.Singleton(c)) {
+				t.Fatalf("trial %d: constant %d varies", trial, c)
+			}
 		}
 	}
 }

@@ -62,23 +62,26 @@ func TestMetricsWiring(t *testing.T) {
 	if h := s.Histograms[MetricWorkerBusy]; h.Count != int64(res.Stats.Levels*2) {
 		t.Errorf("%s count = %d, want workers x levels = %d", MetricWorkerBusy, h.Count, res.Stats.Levels*2)
 	}
-	hits, misses := s.Counters[MetricIndexCacheHits], s.Counters[MetricIndexCacheMisses]
+	hits, misses := s.Counters[MetricPartitionCacheHits], s.Counters[MetricPartitionCacheMisses]
 	if hits+misses == 0 {
-		t.Error("index cache recorded no lookups")
+		t.Error("partition cache recorded no lookups")
 	}
 }
 
+// TestMetricsSortedPartitions: the partition cache serves most lookups (it
+// misses once per column) and every derivation lands in the classes
+// histogram.
 func TestMetricsSortedPartitions(t *testing.T) {
 	r := correlatedRelation(t, 60)
 	reg := obs.NewRegistry()
-	res := Discover(r, Options{UseSortedPartitions: true, Metrics: reg})
+	res := Discover(r, Options{Workers: 1, Metrics: reg})
 	s := reg.Snapshot()
 	if got := s.Counters[MetricChecks]; got != res.Stats.Checks {
 		t.Errorf("%s = %d, Stats.Checks = %d", MetricChecks, got, res.Stats.Checks)
 	}
 	hits, misses := s.Counters[MetricPartitionCacheHits], s.Counters[MetricPartitionCacheMisses]
-	if hits+misses == 0 {
-		t.Error("partition cache recorded no lookups")
+	if misses == 0 || misses > int64(r.NumCols()) || hits <= misses {
+		t.Errorf("partition cache: %d hits, %d misses over %d columns", hits, misses, r.NumCols())
 	}
 	if h := s.Histograms["order.partition.classes"]; h.Count <= 0 {
 		t.Error("partition classes histogram recorded no observations")

@@ -5,7 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"ocd/internal/order"
+	"ocd/internal/obs"
 )
 
 // TestOptionsWorkersNormalization pins the Workers contract: values
@@ -34,30 +34,28 @@ func TestOptionsWorkersNormalization(t *testing.T) {
 	}
 }
 
-// TestOptionsIndexCacheDefault pins the IndexCacheSize contract: zero
-// selects a real cache (repeated sorts of one list hit it), an explicit
-// negative value disables caching.
-func TestOptionsIndexCacheDefault(t *testing.T) {
+// TestOptionsDefaultCachesSingleColumns pins the checker the default
+// discoverer builds: it caches the partition of each single column, so a
+// repeated column is a hit, and longer lists derive from their first
+// column's slot without adding cache entries.
+func TestOptionsDefaultCachesSingleColumns(t *testing.T) {
 	r := seededRelation(t, 4, 30, 3)
-
-	d := newDiscoverer(r, Options{})
-	chk, ok := d.chk.(*order.Checker)
-	if !ok {
-		t.Fatalf("default backend should be *order.Checker, got %T", d.chk)
+	reg := obs.NewRegistry()
+	d := newDiscoverer(r, Options{Metrics: reg})
+	counts := func() (int64, int64) {
+		s := reg.Snapshot()
+		return s.Counters[MetricPartitionCacheHits], s.Counters[MetricPartitionCacheMisses]
 	}
-	x := ids(1, 2)
-	chk.SortedIndex(x)
-	chk.SortedIndex(x)
-	if got := chk.Sorts(); got != 1 {
-		t.Errorf("IndexCacheSize 0 should default to a working cache: %d sorts for 2 lookups", got)
+	d.chk.CheckOD(ids(1), ids(2))
+	d.chk.CheckOD(ids(2), ids(1))
+	d.chk.CheckOD(ids(1), ids(0))
+	if hits, misses := counts(); hits != 1 || misses != 2 {
+		t.Errorf("single-column lookups: %d hits, %d misses, want 1 and 2", hits, misses)
 	}
-
-	d = newDiscoverer(r, Options{IndexCacheSize: -1})
-	chk = d.chk.(*order.Checker)
-	chk.SortedIndex(x)
-	chk.SortedIndex(x)
-	if got := chk.Sorts(); got != 2 {
-		t.Errorf("negative IndexCacheSize should disable caching: %d sorts for 2 lookups", got)
+	d.chk.CheckOCD(ids(1, 2), ids(0))
+	d.chk.CheckOD(ids(2, 1), ids(0))
+	if hits, misses := counts(); hits != 3 || misses != 2 {
+		t.Errorf("multi-column lists: %d hits, %d misses, want 3 and 2", hits, misses)
 	}
 }
 

@@ -14,41 +14,41 @@ import (
 func TestSpillKeepsBudgetedRunComplete(t *testing.T) {
 	r := correlatedRelation(t, 80)
 	want := Discover(r, Options{})
-	for _, partitions := range []bool{false, true} {
-		got := Discover(r, Options{
-			MaxMemoryBytes:      1,
-			SpillDir:            filepath.Join(t.TempDir(), "spill"),
-			UseSortedPartitions: partitions,
-		})
-		if got.Stats.Truncated {
-			t.Fatalf("partitions=%v: budgeted run truncated despite spill dir: %+v", partitions, got.Stats)
-		}
-		if got.Stats.SpillError != "" {
-			t.Fatalf("partitions=%v: SpillError = %q", partitions, got.Stats.SpillError)
-		}
-		if got.Stats.MemoryReleases == 0 {
-			t.Errorf("partitions=%v: budget never tripped — the run proves nothing", partitions)
-		}
-		if got.Stats.SpillEvictions == 0 {
-			t.Errorf("partitions=%v: nothing was spilled", partitions)
-		}
-		if !equalStrings(formatDeps(want), formatDeps(got)) {
-			t.Fatalf("partitions=%v: out-of-core run changed the results", partitions)
-		}
-		assertWellFormed(t, r, got)
+	got := Discover(r, Options{
+		MaxMemoryBytes: 1,
+		SpillDir:       filepath.Join(t.TempDir(), "spill"),
+	})
+	if got.Stats.Truncated {
+		t.Fatalf("budgeted run truncated despite spill dir: %+v", got.Stats)
 	}
+	if got.Stats.SpillError != "" {
+		t.Fatalf("SpillError = %q", got.Stats.SpillError)
+	}
+	if got.Stats.MemoryReleases == 0 {
+		t.Error("budget never tripped — the run proves nothing")
+	}
+	if got.Stats.SpillEvictions == 0 {
+		t.Error("nothing was spilled")
+	}
+	if !equalStrings(formatDeps(want), formatDeps(got)) {
+		t.Fatal("out-of-core run changed the results")
+	}
+	assertWellFormed(t, r, got)
 }
 
-// TestSpillSteadyStateEvictions: a tiny checker cache with a spill dir and
-// no memory budget spills on ordinary eviction and reloads on demand,
-// leaving results identical.
+// TestSpillSteadyStateEvictions: a memory budget that trips at every level
+// barrier moves the checker cache to disk each time (EvictToSpill), and the
+// next level reloads it on demand, leaving results identical.
 func TestSpillSteadyStateEvictions(t *testing.T) {
 	r := correlatedRelation(t, 80)
 	want := Discover(r, Options{})
 	got := Discover(r, Options{
-		IndexCacheSize: 2,
+		MaxMemoryBytes: 1,
 		SpillDir:       filepath.Join(t.TempDir(), "spill"),
 	})
+	if got.Stats.MemoryReleases < 2 {
+		t.Errorf("MemoryReleases = %d, want the budget to trip at several barriers", got.Stats.MemoryReleases)
+	}
 	if got.Stats.SpillEvictions == 0 || got.Stats.SpillReloads == 0 {
 		t.Errorf("SpillStats = (%d, %d), want both > 0",
 			got.Stats.SpillEvictions, got.Stats.SpillReloads)
@@ -86,12 +86,31 @@ func TestSpillDirUnopenable(t *testing.T) {
 func TestSpillDirEmptiedAfterRun(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "spill")
 	r := correlatedRelation(t, 80)
-	res := Discover(r, Options{IndexCacheSize: 2, SpillDir: dir})
+	res := Discover(r, Options{MaxMemoryBytes: 1, SpillDir: dir})
 	if res.Stats.SpillEvictions == 0 {
 		t.Fatal("test needs at least one spilled segment to prove cleanup")
 	}
 	entries, err := os.ReadDir(dir)
 	if err == nil && len(entries) > 0 {
 		t.Fatalf("%d files left in spill dir after the run", len(entries))
+	}
+}
+
+// TestSpillNeedsBudget: a spill dir without a memory budget never writes a
+// segment — the checker cache is bounded by the column count and evicts
+// only when a tripped budget asks it to.
+func TestSpillNeedsBudget(t *testing.T) {
+	r := correlatedRelation(t, 80)
+	want := Discover(r, Options{})
+	got := Discover(r, Options{SpillDir: filepath.Join(t.TempDir(), "spill")})
+	if got.Stats.SpillEvictions != 0 || got.Stats.SpillReloads != 0 {
+		t.Errorf("SpillStats = (%d, %d) with no memory budget, want (0, 0)",
+			got.Stats.SpillEvictions, got.Stats.SpillReloads)
+	}
+	if got.Stats.Checks < 500 {
+		t.Fatalf("only %d checks — the run is too small to prove anything", got.Stats.Checks)
+	}
+	if !equalStrings(formatDeps(want), formatDeps(got)) {
+		t.Fatal("a spill dir changed the results")
 	}
 }

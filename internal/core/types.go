@@ -57,9 +57,6 @@ type Options struct {
 	// candidate tree; values < 1 select runtime.GOMAXPROCS(0). This is the
 	// run-time thread parameter of Section 4.2.2.
 	Workers int
-	// IndexCacheSize bounds the sorted-index cache of the order checker;
-	// 0 selects the default (64 indexes).
-	IndexCacheSize int
 	// Timeout bounds wall-clock time; when exceeded the run stops at a
 	// level boundary and returns partial results with Truncated set,
 	// matching the paper's 5-hour-threshold reporting. Zero means no limit.
@@ -78,11 +75,6 @@ type Options struct {
 	// Columns restricts discovery to a subset of attributes, supporting
 	// the "most interesting columns" mode of Section 5.4. Nil means all.
 	Columns []attr.ID
-	// UseSortedPartitions switches the checking backend to incrementally
-	// derived sorted partitions (Section 5.3.1's technique) instead of
-	// per-candidate index sorts. Results are identical; the backends trade
-	// memory for derivation reuse differently.
-	UseSortedPartitions bool
 	// MaxMemoryBytes is a soft heap budget, checked via runtime.ReadMemStats
 	// at level boundaries. When crossed the engine degrades in a fixed
 	// ladder: with a SpillDir it first moves the checker caches to disk
@@ -92,11 +84,11 @@ type Options struct {
 	// directory a budgeted run completes out-of-core instead of truncating.
 	// Zero means no budget.
 	MaxMemoryBytes int64
-	// SpillDir, when non-empty, arms out-of-core operation: the checker
-	// caches evict cold entries to checksummed segments under this directory
-	// and reload them on demand instead of recomputing, and a tripped
-	// MaxMemoryBytes spills the whole cache before truncation is even
-	// considered. The directory is created if missing, wiped of leftover
+	// SpillDir, when non-empty, arms out-of-core operation: a tripped
+	// MaxMemoryBytes moves the checker's partition cache to checksummed
+	// segments under this directory before truncation is even considered,
+	// and later misses reload them instead of recomputing. Without a
+	// budget nothing is ever spilled. The directory is created if missing, wiped of leftover
 	// segments on open (spill files are pure cache — after a crash they are
 	// unreachable orphans), and emptied again when the run ends. Spill I/O
 	// failures never fail the run and never produce wrong results: a failed
@@ -149,8 +141,6 @@ type Options struct {
 	// values < 1 select the default (10000 checks).
 	ReportEvery int64
 }
-
-const defaultIndexCacheSize = 64
 
 func (o Options) workers() int {
 	if o.Workers < 1 {
@@ -226,9 +216,9 @@ type Stats struct {
 	// of truncating the run).
 	MemoryReleases int
 	// SpillEvictions counts cache entries written to spill segments under
-	// Options.SpillDir (both steady-state evictions and budget-trip bulk
-	// spills); SpillReloads counts entries read back from disk instead of
-	// recomputed. Both are zero without a spill dir.
+	// Options.SpillDir when the memory budget tripped; SpillReloads counts
+	// entries read back from disk instead of recomputed. Both are zero
+	// without a spill dir or without a tripped budget.
 	SpillEvictions int64
 	SpillReloads   int64
 	// SpillError records why the spill directory could not be opened; the

@@ -50,11 +50,11 @@ func TestDeterminism(t *testing.T) {
 // TestYesNoSemantics pins the structural claims of Table 5.
 func TestYesNoSemantics(t *testing.T) {
 	a, b := attr.Singleton(0), attr.Singleton(1)
-	yes := order.NewChecker(Yes(), 4)
+	yes := order.NewPartitionChecker(Yes())
 	if yes.CheckOD(a, b) || yes.CheckOD(b, a) || !yes.CheckOCD(a, b) {
 		t.Error("YES: want A↛B, B↛A, A~B")
 	}
-	no := order.NewChecker(No(), 4)
+	no := order.NewPartitionChecker(No())
 	if no.CheckOD(a, b) || no.CheckOD(b, a) || no.CheckOCD(a, b) {
 		t.Error("NO: want A↛B, B↛A, A≁B")
 	}
@@ -62,7 +62,7 @@ func TestYesNoSemantics(t *testing.T) {
 
 // TestNumbersSemantics pins the Table 7 claim: B → AC does not hold.
 func TestNumbersSemantics(t *testing.T) {
-	chk := order.NewChecker(Numbers(), 4)
+	chk := order.NewPartitionChecker(Numbers())
 	if chk.CheckOD(attr.NewList(1), attr.NewList(0, 2)) {
 		t.Error("NUMBERS: B → AC must not hold")
 	}
@@ -71,7 +71,7 @@ func TestNumbersSemantics(t *testing.T) {
 // TestTaxTableSemantics pins the §1 dependencies.
 func TestTaxTableSemantics(t *testing.T) {
 	r := TaxTable()
-	chk := order.NewChecker(r, 8)
+	chk := order.NewPartitionChecker(r)
 	income, _ := r.ColIndex("income")
 	tax, _ := r.ColIndex("tax")
 	bracket, _ := r.ColIndex("bracket")
@@ -111,7 +111,7 @@ func TestNCVoterStructure(t *testing.T) {
 		t.Error("state column should be constant")
 	}
 	// county_desc is order-equivalent with county_id (same string prefix)
-	chk := order.NewChecker(r, 8)
+	chk := order.NewPartitionChecker(r)
 	cid, _ := r.ColIndex("county_id")
 	cdesc, _ := r.ColIndex("county_desc")
 	if !chk.OrderEquivalent(attr.Singleton(cid), attr.Singleton(cdesc)) {
@@ -143,7 +143,7 @@ func TestFlightStructure(t *testing.T) {
 		t.Errorf("FLIGHT quasi-constants = %d, want many", quasi)
 	}
 	// shadow columns are order-equivalent with their sources
-	chk := order.NewChecker(r, 8)
+	chk := order.NewPartitionChecker(r)
 	eqPairs := 0
 	for c := 30; c < 45; c++ {
 		if chk.OrderEquivalent(attr.Singleton(attr.ID(c-30)), attr.Singleton(attr.ID(c))) {
@@ -157,7 +157,7 @@ func TestFlightStructure(t *testing.T) {
 
 func TestDBTesmaStructure(t *testing.T) {
 	r := DBTesma1K()
-	chk := order.NewChecker(r, 16)
+	chk := order.NewPartitionChecker(r)
 	key := attr.Singleton(0)
 	// monotone derivations: t1 → t11, t1 → t13 (index 12), t1 ↔ t14 (13)
 	if !chk.CheckOD(key, attr.Singleton(10)) {
@@ -177,7 +177,7 @@ func TestDBTesmaStructure(t *testing.T) {
 
 func TestLineItemStructure(t *testing.T) {
 	r := LineItem(2000)
-	chk := order.NewChecker(r, 16)
+	chk := order.NewPartitionChecker(r)
 	// orderkey is non-decreasing in generation order but not a key; the
 	// pair (orderkey, linenumber) is close to one. Verify basic sanity:
 	// suppkey is functionally determined by partkey (part%100).

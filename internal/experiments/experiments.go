@@ -542,9 +542,7 @@ type AblationPoint struct {
 
 // Ablations measures the design choices DESIGN.md calls out, on DBTESMA_1K
 // (whose order-equivalent column group makes the reduction phase matter):
-// column reduction on/off and the sorted-index cache on/off. (The radix-
-// versus-comparison index ablation is a micro-benchmark; see
-// BenchmarkAblation_RadixIndex.)
+// column reduction on/off.
 func Ablations(ctx context.Context, s Scale) []AblationPoint {
 	r := Dataset("DBTESMA_1K", s)
 	var out []AblationPoint
@@ -559,7 +557,6 @@ func Ablations(ctx context.Context, s Scale) []AblationPoint {
 	}
 	run("baseline", core.Options{})
 	run("reduction-off", core.Options{DisableColumnReduction: true})
-	run("index-cache-off", core.Options{IndexCacheSize: 1})
 	return out
 }
 

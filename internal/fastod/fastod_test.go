@@ -49,7 +49,7 @@ func TestNumbersNoSpuriousDependencies(t *testing.T) {
 	// A correct FASTOD must not imply the OD [B] → [A,C]: that OD requires
 	// both the FD B → A (false: B=3 rows have A=1,2... actually check via
 	// the emitted canonical deps) and ∅ : B ~ A swap-freedom.
-	chk := order.NewChecker(r, 8)
+	chk := order.NewPartitionChecker(r)
 	if chk.CheckOD(attr.NewList(1), attr.NewList(0, 2)) {
 		t.Fatal("OD B → AC holds on NUMBERS — table transcription wrong")
 	}
@@ -148,7 +148,7 @@ func TestAgreesWithListOCD(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		r := randomRelation(rng, 2+rng.Intn(15), 3, 1+rng.Intn(3))
 		res := Discover(r, Options{})
-		chk := order.NewChecker(r, 8)
+		chk := order.NewPartitionChecker(r)
 		for i := 0; i < 3; i++ {
 			for j := i + 1; j < 3; j++ {
 				want := chk.CheckOCD(attr.Singleton(attr.ID(i)), attr.Singleton(attr.ID(j)))

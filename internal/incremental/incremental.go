@@ -7,12 +7,18 @@
 // order dependencies (and OCDs) are universally quantified over tuple
 // pairs, so appending rows can only *falsify* them, never create new ones.
 // A maintainer therefore tracks the dependency set produced by a discovery
-// run and, on every append, re-validates only the still-alive tracked
+// run and, on every append, re-validates the still-alive tracked
 // dependencies — |deps| order checks instead of re-running the candidate
-// tree — and reports which ones died. Full re-discovery is only needed when
-// *columns* are added (new candidates become possible) or rows are removed
-// (dependencies can resurrect); AddColumn performs a discovery restricted
-// to candidates involving the new column and merges the results.
+// tree — and reports which ones died. The tracked set is not the whole
+// story, though: discovery skips candidates that a valid OD makes
+// derivable, and column reduction hides every candidate over a constant or
+// a non-representative class member. When an append kills a tracked OD,
+// breaks a constant or shatters a class, those skipped candidates become
+// reachable and may hold, so the maintainer re-runs discovery. Otherwise
+// only OCDs died, and by downward closure (Theorem 3.7) everything below a
+// dead OCD was already invalid, so the surviving set is exactly what a
+// fresh run finds. Adding *columns* also re-discovers (new candidates
+// become possible).
 package incremental
 
 import (
@@ -54,7 +60,12 @@ type Report struct {
 	// BrokenClasses are equivalence classes that shattered (at least one
 	// member pair is no longer order equivalent).
 	BrokenClasses [][]attr.ID
-	// Checks is the number of order checks the revalidation used.
+	// Rediscovered reports that a died OD, broken constant or shattered
+	// class made the maintainer re-run discovery, so the alive set may now
+	// also hold dependencies the earlier run never reported.
+	Rediscovered bool
+	// Checks is the number of order checks the revalidation used,
+	// including the re-run's when Rediscovered is set.
 	Checks int64
 }
 
@@ -84,12 +95,15 @@ func (m *Maintainer) rebuild() error {
 	return nil
 }
 
-func (m *Maintainer) rediscover() {
+// rediscover replaces the tracked set with a fresh discovery run and
+// returns the checks the run used.
+func (m *Maintainer) rediscover() int64 {
 	res := core.Discover(m.rel, m.discOpts)
 	m.ocds = res.OCDs
 	m.ods = res.ODs
 	m.constants = res.Constants
 	m.classes = res.EquivClasses
+	return res.Stats.Checks
 }
 
 // NumRows returns the current row count.
@@ -112,9 +126,10 @@ func (m *Maintainer) EquivClasses() [][]attr.ID { return m.classes }
 func (m *Maintainer) Revalidations() int64 { return m.revalidations }
 
 // AppendRows adds tuples and re-validates all tracked facts against the
-// grown instance, returning what died. Appending never creates new
-// dependencies (anti-monotonicity), so the alive set stays complete with
-// respect to the original discovery.
+// grown instance, returning what died. When an OD died, a constant broke or
+// a class shattered, it then re-runs discovery (see the package comment),
+// so the alive set always equals what a fresh discovery on the grown
+// instance reports.
 func (m *Maintainer) AppendRows(rows [][]string) (*Report, error) {
 	for i, row := range rows {
 		if len(row) != len(m.colNames) {
@@ -131,7 +146,7 @@ func (m *Maintainer) AppendRows(rows [][]string) (*Report, error) {
 		return nil, err
 	}
 
-	chk := order.NewChecker(m.rel, 64)
+	chk := order.NewPartitionChecker(m.rel)
 	rep := &Report{}
 
 	aliveOCDs := m.ocds[:0]
@@ -183,6 +198,10 @@ func (m *Maintainer) AppendRows(rows [][]string) (*Report, error) {
 	m.classes = aliveClasses
 
 	rep.Checks = chk.Checks()
+	if len(rep.DiedODs)+len(rep.BrokenConstants)+len(rep.BrokenClasses) > 0 {
+		rep.Rediscovered = true
+		rep.Checks += m.rediscover()
+	}
 	m.revalidations += rep.Checks
 	return rep, nil
 }

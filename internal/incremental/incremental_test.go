@@ -1,9 +1,11 @@
 package incremental
 
 import (
+	"fmt"
 	"math/rand"
 	"strconv"
 	"testing"
+	"testing/quick"
 
 	"ocd/internal/attr"
 	"ocd/internal/core"
@@ -81,9 +83,10 @@ func TestAppendFieldCountError(t *testing.T) {
 	}
 }
 
-// TestAntiMonotonicity: across random appends, the alive dependency set
-// only shrinks, every alive dependency is valid, and every reported death
-// is genuinely invalid.
+// TestAntiMonotonicity: across random appends, every alive dependency is
+// valid and every reported death is genuinely invalid; an append that did
+// not force a re-discovery only shrinks the alive set, by exactly the
+// reported deaths.
 func TestAntiMonotonicity(t *testing.T) {
 	rng := rand.New(rand.NewSource(181))
 	for trial := 0; trial < 15; trial++ {
@@ -110,16 +113,13 @@ func TestAntiMonotonicity(t *testing.T) {
 				t.Fatal(err)
 			}
 			now := len(m.OCDs()) + len(m.ODs())
-			if now > prev {
-				t.Fatalf("trial %d: dependency set grew under append", trial)
-			}
-			if prev-now != len(rep.DiedOCDs)+len(rep.DiedODs) {
+			if !rep.Rediscovered && prev-now != len(rep.DiedOCDs)+len(rep.DiedODs) {
 				t.Fatalf("trial %d: death accounting wrong", trial)
 			}
 			prev = now
 			assertAllValid(t, m)
 			// deaths are genuine
-			chk := order.NewChecker(relFromMaintainer(m), 8)
+			chk := order.NewPartitionChecker(relFromMaintainer(m))
 			for _, d := range rep.DiedOCDs {
 				if chk.CheckOCD(d.X, d.Y) {
 					t.Fatalf("trial %d: OCD reported dead but valid", trial)
@@ -138,7 +138,7 @@ func relFromMaintainer(m *Maintainer) *relation.Relation { return m.rel }
 
 func assertAllValid(t *testing.T, m *Maintainer) {
 	t.Helper()
-	chk := order.NewChecker(m.rel, 16)
+	chk := order.NewPartitionChecker(m.rel)
 	for _, d := range m.OCDs() {
 		if !chk.CheckOCD(d.X, d.Y) {
 			t.Fatalf("alive OCD %v~%v invalid", d.X, d.Y)
@@ -224,5 +224,101 @@ func TestRevalidationsAccumulate(t *testing.T) {
 	}
 	if m.RediscoveryCost() <= 0 {
 		t.Error("rediscovery cost should be positive")
+	}
+}
+
+// TestAppendFindsDependenciesHiddenByReduction is the witness for lost
+// dependencies: A and B start as one equivalence class, so the first run
+// only tracks A ~ C. The appended row shatters the class and kills A ~ C;
+// a fresh discovery on the grown rows finds dependencies over B that the
+// maintainer must report too.
+func TestAppendFindsDependenciesHiddenByReduction(t *testing.T) {
+	m := newM(t, [][]string{{"1", "1", "1"}, {"1", "1", "2"}, {"2", "2", "2"}}, "A", "B", "C")
+	rep, err := m.AppendRows([][]string{{"0", "3", "5"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Rediscovered || len(rep.BrokenClasses) != 1 {
+		t.Fatalf("shattered class must force a re-discovery: %+v", rep)
+	}
+	names := func(a attr.ID) string { return m.colNames[a] }
+	have := map[string]bool{}
+	for _, d := range m.OCDs() {
+		have[d.Format(names)] = true
+	}
+	for _, d := range m.ODs() {
+		have[d.Format(names)] = true
+	}
+	for _, want := range []string{"[B] ~ [C]", "[B] ~ [C,A]", "[B,A] ~ [C]", "[C,A] -> [B]"} {
+		if !have[want] {
+			t.Errorf("missing %s; alive: %v", want, have)
+		}
+	}
+	assertMatchesFresh(t, m)
+}
+
+// TestQuickAppendMatchesFreshDiscovery: after every random append, the
+// maintained OCDs, ODs, constants and classes equal a fresh core.Discover
+// on the grown rows.
+func TestQuickAppendMatchesFreshDiscovery(t *testing.T) {
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		ncols, dom := 2+rng.Intn(3), 1+rng.Intn(4)
+		cols := []string{"A", "B", "C", "D"}[:ncols]
+		batch := func(n int) [][]string {
+			rows := make([][]string, n)
+			for i := range rows {
+				rows[i] = make([]string, ncols)
+				for j := range rows[i] {
+					rows[i][j] = strconv.Itoa(rng.Intn(dom))
+				}
+			}
+			return rows
+		}
+		m, err := New("t", cols, batch(1+rng.Intn(6)), relation.Options{}, core.Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for step := 0; step < 4; step++ {
+			if _, err := m.AppendRows(batch(1 + rng.Intn(3))); err != nil {
+				t.Fatal(err)
+			}
+			if diff := freshDiff(m); diff != "" {
+				t.Logf("seed %d step %d: %s", seed, step, diff)
+				return false
+			}
+		}
+		return true
+	}
+	cfg := &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(191))}
+	if err := quick.Check(prop, cfg); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// freshDiff describes how the maintained set differs from a fresh
+// discovery on the same rows; empty when they are equal.
+func freshDiff(m *Maintainer) string {
+	fresh := core.Discover(m.rel, m.discOpts)
+	for _, c := range []struct {
+		what      string
+		got, want any
+	}{
+		{"OCDs", m.OCDs(), fresh.OCDs},
+		{"ODs", m.ODs(), fresh.ODs},
+		{"constants", m.Constants(), fresh.Constants},
+		{"classes", m.EquivClasses(), fresh.EquivClasses},
+	} {
+		if g, w := fmt.Sprint(c.got), fmt.Sprint(c.want); g != w {
+			return fmt.Sprintf("%s = %s, fresh run %s", c.what, g, w)
+		}
+	}
+	return ""
+}
+
+func assertMatchesFresh(t *testing.T, m *Maintainer) {
+	t.Helper()
+	if diff := freshDiff(m); diff != "" {
+		t.Fatal(diff)
 	}
 }

@@ -532,3 +532,37 @@ func TestListDeterministicOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestRecoverManifestWithRetiredOption: a manifest written by an older
+// server that still carried "use_sorted_partitions" recovers and completes
+// with the same result as a fresh run; the retired field is ignored.
+func TestRecoverManifestWithRetiredOption(t *testing.T) {
+	csv := testCSV(60)
+	root := t.TempDir()
+	dir := crashedJobDir(t, root, "jold000", "legacy", csv, 1, false)
+	now := time.Now().UTC().Format(time.RFC3339Nano)
+	legacy := `{"id":"jold000","name":"legacy","state":"running","options":{"use_sorted_partitions":true},` +
+		`"attempts":1,"created_at":"` + now + `","updated_at":"` + now + `"}`
+	if err := os.WriteFile(manifestPath(dir), []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := ocd.LoadCSV(strings.NewReader(csv), "legacy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := tbl.Discover(ocd.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	m := newTestManager(t, Config{Dir: root, MaxActive: 1})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	m.Start(ctx)
+	waitState(t, m, "jold000", StateCompleted)
+	res := resultDoc(t, m, "jold000")
+	if len(res.OCDs) != len(fresh.OCDs) || len(res.ODs) != len(fresh.ODs) {
+		t.Fatalf("recovered job found %d OCDs / %d ODs, a fresh run %d / %d",
+			len(res.OCDs), len(res.ODs), len(fresh.OCDs), len(fresh.ODs))
+	}
+}

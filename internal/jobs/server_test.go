@@ -242,13 +242,13 @@ func TestParseJobOptions(t *testing.T) {
 	mk := func(q string) *http.Request {
 		return httptest.NewRequest("POST", "/jobs?"+q, nil)
 	}
-	opts, err := parseJobOptions(mk("workers=3&timeout=90s&max-level=4&max-candidates=1000&columns=a,%20b,&sorted-partitions=true&force-string=1&no-header=true&sep=%3B&expand=7"))
+	opts, err := parseJobOptions(mk("workers=3&timeout=90s&max-level=4&max-candidates=1000&columns=a,%20b,&force-string=1&no-header=true&sep=%3B&expand=7"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := JobOptions{
 		Workers: 3, Timeout: 90 * time.Second, MaxLevel: 4, MaxCandidates: 1000,
-		Columns: []string{"a", "b"}, UseSortedPartitions: true, ForceString: true,
+		Columns: []string{"a", "b"}, ForceString: true,
 		NoHeader: true, Delimiter: ";", ExpandLimit: 7,
 	}
 	if fmt.Sprint(opts) != fmt.Sprint(want) {
@@ -258,5 +258,9 @@ func TestParseJobOptions(t *testing.T) {
 		if _, err := parseJobOptions(mk(bad)); err == nil {
 			t.Errorf("parseJobOptions(%q) accepted bad input", bad)
 		}
+	}
+	// Unknown parameters are ignored, including ones older servers knew.
+	if opts, err := parseJobOptions(mk("sorted-partitions=maybe&workers=2")); err != nil || opts.Workers != 2 {
+		t.Errorf("unknown parameter: opts %+v, err %v", opts, err)
 	}
 }

@@ -26,7 +26,7 @@ type Progress struct {
 	// (cumulative average on the first).
 	ChecksPerSec float64
 	// CacheHitRate is the cumulative index/partition cache hit rate in
-	// [0,1]; negative when the backend exposes no cache counters.
+	// [0,1]; negative when the checker exposes no cache counters.
 	CacheHitRate float64
 	// Elapsed is the wall-clock time of this run so far (excluding a
 	// resumed run's prior elapsed, which is in PriorElapsed).

@@ -10,12 +10,11 @@ import (
 func newBenchRel(rows int) *benchEnv {
 	rng := rand.New(rand.NewSource(271))
 	r := randomRelation(rng, rows, 6, 50)
-	return &benchEnv{r: NewChecker(r, 64), pc: NewPartitionChecker(r, 64)}
+	return &benchEnv{r: NewPartitionChecker(r)}
 }
 
 type benchEnv struct {
-	r  *Checker
-	pc *PartitionChecker
+	r *PartitionChecker
 }
 
 func BenchmarkCheckOCDSmall(b *testing.B) {
@@ -33,18 +32,6 @@ func BenchmarkCheckODFullSmall(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		env.r.CheckODFull(x, y)
-	}
-}
-
-func BenchmarkSortedIndexUncached(b *testing.B) {
-	env := newBenchRel(10_000)
-	lists := []attr.List{attr.NewList(0, 1), attr.NewList(2, 3), attr.NewList(4, 5)}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		chk := NewChecker(env.r.Relation(), 0)
-		for _, l := range lists {
-			chk.SortedIndex(l)
-		}
 	}
 }
 

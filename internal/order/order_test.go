@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ocd/internal/attr"
+	"ocd/internal/obs"
 	"ocd/internal/relation"
 )
 
@@ -67,7 +68,7 @@ func TestCompareRows(t *testing.T) {
 }
 
 func TestTaxTableODs(t *testing.T) {
-	c := NewChecker(taxTable(), 16)
+	c := NewPartitionChecker(taxTable())
 	income, savings, bracket, tax := ids(0), ids(1), ids(2), ids(3)
 	cases := []struct {
 		x, y  attr.List
@@ -96,11 +97,11 @@ func TestTaxTableODs(t *testing.T) {
 }
 
 func TestYesNoTables(t *testing.T) {
-	yes := NewChecker(yesTable(), 16)
-	no := NewChecker(noTable(), 16)
+	yes := NewPartitionChecker(yesTable())
+	no := NewPartitionChecker(noTable())
 	a, b := ids(0), ids(1)
 	// In both tables A → B and B → A fail.
-	for name, c := range map[string]*Checker{"YES": yes, "NO": no} {
+	for name, c := range map[string]*PartitionChecker{"YES": yes, "NO": no} {
 		if c.CheckOD(a, b) {
 			t.Errorf("%s: A → B should fail", name)
 		}
@@ -130,7 +131,7 @@ func TestSplitSwapClassification(t *testing.T) {
 	split := relation.FromInts("s", []string{"A", "B"}, [][]int{
 		{1, 1}, {1, 2}, {2, 3},
 	})
-	res := NewChecker(split, 0).CheckODFull(ids(0), ids(1))
+	res := NewPartitionChecker(split).CheckODFull(ids(0), ids(1))
 	if res.Valid || !res.HasSplit || res.HasSwap {
 		t.Errorf("split table: %+v", res)
 	}
@@ -142,7 +143,7 @@ func TestSplitSwapClassification(t *testing.T) {
 	swap := relation.FromInts("w", []string{"A", "B"}, [][]int{
 		{1, 5}, {2, 3}, {3, 4},
 	})
-	res = NewChecker(swap, 0).CheckODFull(ids(0), ids(1))
+	res = NewPartitionChecker(swap).CheckODFull(ids(0), ids(1))
 	if res.Valid || res.HasSplit || !res.HasSwap {
 		t.Errorf("swap table: %+v", res)
 	}
@@ -155,7 +156,7 @@ func TestSplitSwapClassification(t *testing.T) {
 	both := relation.FromInts("b", []string{"A", "B"}, [][]int{
 		{1, 1}, {1, 2}, {2, 0},
 	})
-	res = NewChecker(both, 0).CheckODFull(ids(0), ids(1))
+	res = NewPartitionChecker(both).CheckODFull(ids(0), ids(1))
 	if !res.HasSplit || !res.HasSwap || res.Valid {
 		t.Errorf("both table: %+v", res)
 	}
@@ -164,7 +165,7 @@ func TestSplitSwapClassification(t *testing.T) {
 	ok := relation.FromInts("v", []string{"A", "B"}, [][]int{
 		{1, 1}, {1, 1}, {2, 5},
 	})
-	res = NewChecker(ok, 0).CheckODFull(ids(0), ids(1))
+	res = NewPartitionChecker(ok).CheckODFull(ids(0), ids(1))
 	if !res.Valid || res.HasSplit || res.HasSwap {
 		t.Errorf("valid table: %+v", res)
 	}
@@ -176,7 +177,7 @@ func TestNonAdjacentSwapDetected(t *testing.T) {
 	r := relation.FromInts("t", []string{"A", "B"}, [][]int{
 		{1, 5}, {2, 9}, {2, 3},
 	})
-	res := NewChecker(r, 0).CheckODFull(ids(0), ids(1))
+	res := NewPartitionChecker(r).CheckODFull(ids(0), ids(1))
 	if !res.HasSwap {
 		t.Errorf("missed non-adjacent swap: %+v", res)
 	}
@@ -195,7 +196,7 @@ func TestNullsFirstAndEqual(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewChecker(r, 0)
+	c := NewPartitionChecker(r)
 	// NULL==NULL and NULLS FIRST make A → B valid here.
 	if !c.CheckOD(ids(0), ids(1)) {
 		t.Error("A → B should hold under NULLS FIRST semantics")
@@ -204,7 +205,7 @@ func TestNullsFirstAndEqual(t *testing.T) {
 	r2, _ := relation.FromStrings("t", []string{"A", "B"}, [][]string{
 		{"", "1"}, {"", "2"}, {"1", "3"},
 	}, relation.Options{})
-	res := NewChecker(r2, 0).CheckODFull(ids(0), ids(1))
+	res := NewPartitionChecker(r2).CheckODFull(ids(0), ids(1))
 	if !res.HasSplit {
 		t.Error("NULL=NULL should create a split with differing RHS")
 	}
@@ -212,12 +213,12 @@ func TestNullsFirstAndEqual(t *testing.T) {
 
 func TestEmptyAndSingletonRelations(t *testing.T) {
 	empty := relation.FromInts("e", []string{"A", "B"}, nil)
-	c := NewChecker(empty, 4)
+	c := NewPartitionChecker(empty)
 	if !c.CheckOD(ids(0), ids(1)) || !c.CheckOCD(ids(0), ids(1)) {
 		t.Error("every dependency holds vacuously on an empty relation")
 	}
 	one := relation.FromInts("o", []string{"A", "B"}, [][]int{{5, 9}})
-	c = NewChecker(one, 4)
+	c = NewPartitionChecker(one)
 	if !c.CheckOD(ids(0), ids(1)) || !c.CheckOCD(ids(1), ids(0)) {
 		t.Error("every dependency holds on a single-row relation")
 	}
@@ -225,7 +226,7 @@ func TestEmptyAndSingletonRelations(t *testing.T) {
 
 func TestEmptyListSides(t *testing.T) {
 	r := taxTable()
-	c := NewChecker(r, 4)
+	c := NewPartitionChecker(r)
 	// [] → Y holds iff Y is constant over r; X → [] always holds.
 	if !c.CheckOD(ids(0), attr.List{}) {
 		t.Error("X → [] must hold")
@@ -234,7 +235,7 @@ func TestEmptyListSides(t *testing.T) {
 		t.Error("[] → income must fail (income varies)")
 	}
 	constCol := relation.FromInts("c", []string{"A", "K"}, [][]int{{1, 7}, {2, 7}})
-	cc := NewChecker(constCol, 4)
+	cc := NewPartitionChecker(constCol)
 	if !cc.CheckOD(attr.List{}, ids(1)) {
 		t.Error("[] → K must hold for constant K")
 	}
@@ -242,12 +243,13 @@ func TestEmptyListSides(t *testing.T) {
 
 func TestSortedIndexDeterministic(t *testing.T) {
 	r := taxTable()
-	c := NewChecker(r, 0) // no cache: both calls rebuild
-	i1 := c.SortedIndex(ids(2))
-	i2 := c.SortedIndex(ids(2))
+	c := NewPartitionChecker(r)
+	i1 := c.Partition(ids(2)).Idx
+	c.ReleaseMemory() // the second call re-derives from scratch
+	i2 := c.Partition(ids(2)).Idx
 	for i := range i1 {
 		if i1[i] != i2[i] {
-			t.Fatal("SortedIndex not deterministic")
+			t.Fatal("partition order not deterministic")
 		}
 	}
 	// Sorted by bracket: rows 0,1,2 (bracket 1) then 3,4 then 5, original
@@ -255,47 +257,59 @@ func TestSortedIndexDeterministic(t *testing.T) {
 	want := []int32{0, 1, 2, 3, 4, 5}
 	for i := range want {
 		if i1[i] != want[i] {
-			t.Fatalf("SortedIndex = %v", i1)
+			t.Fatalf("Partition(bracket).Idx = %v", i1)
 		}
 	}
 }
 
-func TestIndexCacheEviction(t *testing.T) {
+// TestSingleColumnCache: the checker caches one partition per column, so a
+// repeated column is a hit, longer lists derive from their first column's
+// slot without caching themselves, and ReleaseMemory empties every slot.
+func TestSingleColumnCache(t *testing.T) {
 	r := taxTable()
-	c := NewChecker(r, 2)
-	c.SortedIndex(ids(0))
-	c.SortedIndex(ids(1))
-	if c.Sorts() != 2 {
-		t.Fatalf("Sorts = %d", c.Sorts())
+	c := NewPartitionChecker(r)
+	reg := obs.NewRegistry()
+	c.SetObs(reg)
+	counts := func() (int64, int64) {
+		s := reg.Snapshot()
+		return s.Counters["order.partition_cache.hits"], s.Counters["order.partition_cache.misses"]
 	}
-	c.SortedIndex(ids(0)) // hit
-	if c.Sorts() != 2 {
-		t.Errorf("cache hit rebuilt index: Sorts = %d", c.Sorts())
+	c.CheckOD(ids(0), ids(1))
+	c.CheckOD(ids(1), ids(0))
+	if hits, misses := counts(); hits != 0 || misses != 2 {
+		t.Fatalf("hits/misses = %d/%d, want 0/2", hits, misses)
 	}
-	c.SortedIndex(ids(2)) // evicts ids(0)
-	c.SortedIndex(ids(0)) // miss again
-	if c.Sorts() != 4 {
-		t.Errorf("eviction wrong: Sorts = %d", c.Sorts())
+	c.CheckOD(ids(0), ids(2))     // hit on [income]
+	c.CheckOCD(ids(0), ids(1, 2)) // [income,savings,bracket] from [income]'s slot
+	c.CheckOCD(ids(0), ids(1, 2)) // the derived list is not cached: same hit again
+	if hits, misses := counts(); hits != 3 || misses != 2 {
+		t.Fatalf("hits/misses = %d/%d, want 3/2", hits, misses)
+	}
+	c.ReleaseMemory()
+	c.CheckOD(ids(0), ids(1))
+	if hits, misses := counts(); hits != 3 || misses != 3 {
+		t.Errorf("after ReleaseMemory hits/misses = %d/%d, want 3/3", hits, misses)
 	}
 }
 
 func TestCheckCounter(t *testing.T) {
-	c := NewChecker(taxTable(), 4)
+	c := NewPartitionChecker(taxTable())
 	c.CheckOD(ids(0), ids(3))
 	c.CheckOCD(ids(0), ids(1))
 	c.CheckODFull(ids(0), ids(2))
 	if c.Checks() != 3 {
 		t.Errorf("Checks = %d, want 3", c.Checks())
 	}
-	c.ResetStats()
-	if c.Checks() != 0 || c.Sorts() != 0 {
-		t.Error("ResetStats failed")
+	c.Partition(ids(0, 1)) // derivations are not checks
+	c.IsConstantList(ids(0))
+	if c.Checks() != 3 {
+		t.Errorf("Checks = %d after non-check calls, want 3", c.Checks())
 	}
 }
 
 func TestIsConstantList(t *testing.T) {
 	r := relation.FromInts("t", []string{"A", "K"}, [][]int{{1, 7}, {2, 7}})
-	c := NewChecker(r, 0)
+	c := NewPartitionChecker(r)
 	if !c.IsConstantList(attr.List{}) || !c.IsConstantList(ids(1)) {
 		t.Error("constant list misdetected")
 	}
@@ -314,6 +328,20 @@ func bruteOD(r *relation.Relation, x, y attr.List) bool {
 		}
 	}
 	return true
+}
+
+// bruteViolations reports, from all row pairs, whether X → Y has a split
+// (equal on X, different on Y) and whether it has a swap (X strictly
+// increasing, Y strictly decreasing).
+func bruteViolations(r *relation.Relation, x, y attr.List) (split, swap bool) {
+	for p := 0; p < r.NumRows(); p++ {
+		for q := 0; q < r.NumRows(); q++ {
+			cx, cy := CompareRows(r, p, q, x), CompareRows(r, p, q, y)
+			split = split || (cx == 0 && cy != 0)
+			swap = swap || (cx < 0 && cy > 0)
+		}
+	}
+	return split, swap
 }
 
 // bruteOCD is the O(m²) reference for Definition 2.4 via XY ↔ YX.
@@ -354,13 +382,13 @@ func min(a, b int) int {
 	return b
 }
 
-// Property: the index-based OD check agrees with the brute-force definition
+// Property: the partition-based OD check agrees with the brute-force definition
 // on random instances, including ones dense with ties.
 func TestQuickODAgreesWithBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 300; trial++ {
 		r := randomRelation(rng, 2+rng.Intn(12), 4, 1+rng.Intn(4))
-		c := NewChecker(r, 8)
+		c := NewPartitionChecker(r)
 		x := randomList(rng, 4, 2)
 		y := randomList(rng, 4, 2)
 		want := bruteOD(r, x, y)
@@ -380,7 +408,7 @@ func TestQuickOCDAgreesWithBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 300; trial++ {
 		r := randomRelation(rng, 2+rng.Intn(12), 4, 1+rng.Intn(4))
-		c := NewChecker(r, 8)
+		c := NewPartitionChecker(r)
 		x := randomList(rng, 4, 2)
 		y := randomList(rng, 4, 2)
 		want := bruteOCD(r, x, y)
@@ -400,7 +428,7 @@ func TestQuickODImpliesFDAndOCD(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 200; trial++ {
 		r := randomRelation(rng, 2+rng.Intn(10), 3, 1+rng.Intn(3))
-		c := NewChecker(r, 8)
+		c := NewPartitionChecker(r)
 		x := randomList(rng, 3, 2)
 		y := randomList(rng, 3, 2)
 		if c.CheckOD(x, y) {
@@ -420,7 +448,7 @@ func TestQuickODTransitive(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 200; trial++ {
 		r := randomRelation(rng, 2+rng.Intn(8), 3, 1+rng.Intn(3))
-		c := NewChecker(r, 8)
+		c := NewPartitionChecker(r)
 		x, y, z := randomList(rng, 3, 2), randomList(rng, 3, 2), randomList(rng, 3, 2)
 		if c.CheckOD(x, y) && c.CheckOD(y, z) && !c.CheckOD(x, z) {
 			t.Fatalf("transitivity violated: %v→%v, %v→%v but not %v→%v", x, y, y, z, x, z)
@@ -439,7 +467,7 @@ func dump(r *relation.Relation) [][]string {
 func TestConcurrentChecker(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	r := randomRelation(rng, 200, 6, 5)
-	c := NewChecker(r, 8)
+	c := NewPartitionChecker(r)
 	type cand struct{ x, y attr.List }
 	cands := make([]cand, 64)
 	want := make([]bool, len(cands))

@@ -15,21 +15,20 @@ import (
 // linear row scaling by "performing the check of dependency candidates with
 // sorted partitions computed from the data", and that the technique "could
 // have been re-implemented in our approach as well". This file does exactly
-// that, as an alternative backend to the re-sorting Checker.
+// that; it is the only checking kernel.
 //
 // A sorted partition of an attribute list X is the row sequence in ⪯_X
 // order together with the boundaries of its equivalence classes (runs of
 // rows equal on X). Its power is *incremental derivation*: the sorted
 // partition of X∘A is obtained from that of X by stably sorting each class
 // by A and splitting it — O(rows) with counting sort, instead of a fresh
-// O(rows·log rows) sort of the whole relation. Since the candidate tree
-// extends lists one attribute at a time, almost every partition needed is
-// one derivation away from an already-computed parent.
+// O(rows·log rows) sort of the whole relation.
 
 // SortedPartition is a relation's row order under some attribute list with
 // class boundaries.
 type SortedPartition struct {
-	// Idx holds all row positions in ⪯ order.
+	// Idx holds all row positions in ⪯ order; rows equal on the list keep
+	// their original relative order.
 	Idx []int32
 	// Ends[k] is the exclusive end offset of class k in Idx; classes are
 	// maximal runs of rows equal on the partition's list.
@@ -57,28 +56,31 @@ func Base(numRows int) *SortedPartition {
 // list: each class is stably counting-sorted by a's codes and split at code
 // changes.
 func (sp *SortedPartition) Extend(r *relation.Relation, a attr.ID) *SortedPartition {
-	out, _ := sp.extendStop(r, a, nil)
+	out := &SortedPartition{}
+	var counts []int32
+	sp.extendInto(out, r.Col(a), nil, &counts)
 	return out
 }
 
-// extendStop is Extend with cooperative abort: the stop flag is polled once
-// per class (each class is one O(class) counting pass, so the latency bound
-// is a single pass even on skewed partitions). ok is false when aborted; the
-// partial partition must then be discarded, never cached.
+// extendInto writes the partition of list∘[a] into out, reusing its
+// buffers, where codes is a's column. counts is the counting-sort scratch,
+// grown as needed. The stop flag is polled once per class (each class is one
+// O(class) pass, so the latency bound is a single pass even on skewed
+// partitions); false means aborted, and out then holds garbage.
 // lint:hot
-func (sp *SortedPartition) extendStop(r *relation.Relation, a attr.ID, stop *atomic.Bool) (*SortedPartition, bool) {
-	codes := r.Col(a)
-	out := &SortedPartition{
-		Idx:  make([]int32, len(sp.Idx)),
-		Ends: make([]int32, 0, len(sp.Ends)),
+func (sp *SortedPartition) extendInto(out *SortedPartition, codes []int32, stop *atomic.Bool, counts *[]int32) bool {
+	n := len(sp.Idx)
+	if cap(out.Idx) < n {
+		out.Idx = make([]int32, n)
 	}
-	var counts []int32
+	out.Idx = out.Idx[:n]
+	out.Ends = out.Ends[:0]
 	var tick uint32
 	start := int32(0)
 	for _, end := range sp.Ends {
 		tick++
 		if tick&stopCheckMask == 0 && stop != nil && stop.Load() {
-			return nil, false // aborted mid-derivation
+			return false // aborted mid-derivation
 		}
 		cls := sp.Idx[start:end]
 		dst := out.Idx[start:end]
@@ -97,7 +99,8 @@ func (sp *SortedPartition) extendStop(r *relation.Relation, a attr.ID, stop *ato
 				dst[j] = row
 			}
 		} else {
-			// find the code range within the class
+			// Size the counters by the largest code in the class: row
+			// slices (HeadRows/SelectRows) keep the parent's code space.
 			maxCode := int32(0)
 			for _, row := range cls {
 				if codes[row] > maxCode {
@@ -105,24 +108,21 @@ func (sp *SortedPartition) extendStop(r *relation.Relation, a attr.ID, stop *ato
 				}
 			}
 			k := int(maxCode) + 1
-			if cap(counts) < k+1 {
-				counts = make([]int32, k+1)
-			} else {
-				counts = counts[:k+1]
-				for i := range counts {
-					counts[i] = 0
-				}
+			if cap(*counts) < k+1 {
+				*counts = make([]int32, k+1)
 			}
+			cnt := (*counts)[:k+1]
+			clear(cnt)
 			for _, row := range cls {
-				counts[codes[row]+1]++
+				cnt[codes[row]+1]++
 			}
 			for c := 1; c <= k; c++ {
-				counts[c] += counts[c-1]
+				cnt[c] += cnt[c-1]
 			}
 			for _, row := range cls {
 				c := codes[row]
-				dst[counts[c]] = row
-				counts[c]++
+				dst[cnt[c]] = row
+				cnt[c]++
 			}
 		}
 		// split boundaries at code changes
@@ -133,26 +133,39 @@ func (sp *SortedPartition) extendStop(r *relation.Relation, a attr.ID, stop *ato
 		}
 		start = end
 	}
-	if stop != nil && stop.Load() {
-		return nil, false // aborted: discard the finished derivation too
-	}
-	return out, true
+	return stop == nil || !stop.Load()
 }
 
-// PartitionChecker validates OD and OCD candidates with incrementally
-// derived sorted partitions, caching one partition per attribute list. It
-// is a drop-in alternative to Checker for the discovery algorithms; the
-// ablation benchmark BenchmarkAblation_PartitionChecker compares the two.
-type PartitionChecker struct {
-	r  *relation.Relation
-	mu sync.Mutex
-	// cache maps list keys to partitions; parents stay cached so children
-	// derive in O(rows).
-	cache map[string]*SortedPartition
-	cap   int
-	fifo  []string
+// clone returns a deep copy the caller owns.
+func (sp *SortedPartition) clone() *SortedPartition {
+	return &SortedPartition{
+		Idx:  append([]int32(nil), sp.Idx...),
+		Ends: append([]int32(nil), sp.Ends...),
+	}
+}
 
-	base   *SortedPartition
+// scratch holds the two derivation buffers a multi-column check alternates
+// between, plus the counting-sort counters.
+type scratch struct {
+	a, b   SortedPartition
+	counts []int32
+}
+
+// PartitionChecker validates OD and OCD candidates against a fixed relation
+// with sorted partitions. It caches exactly one partition per column — the
+// cache is bounded by the column count and never evicts on its own — and
+// derives every longer list from its first column's partition into pooled
+// scratch buffers that live only for one check. It is safe for concurrent
+// use; the paper's multi-threaded tree traversal (Section 4.2.2) shares one
+// checker across workers.
+type PartitionChecker struct {
+	r    *relation.Relation
+	base *SortedPartition
+	// single[a] is the sorted partition of [a], nil until first use.
+	single []atomic.Pointer[SortedPartition]
+	// scratch pools *scratch buffers for derivations of longer lists.
+	scratch sync.Pool
+
 	checks atomic.Int64
 
 	// stop, when non-nil and true, aborts checks cooperatively: partition
@@ -167,8 +180,9 @@ type PartitionChecker struct {
 	obsMisses  *obs.Counter
 	obsClasses *obs.Histogram
 
-	// sm, when non-nil, gives the cache an out-of-core mode: evictions
-	// spill to checksummed disk segments and misses reload them (spill.go).
+	// sm, when non-nil, gives the cache an out-of-core mode: EvictToSpill
+	// writes the cached partitions to checksummed disk segments and misses
+	// reload them (spill.go).
 	sm             *spill.Manager
 	spillEvictions atomic.Int64
 	spillReloads   atomic.Int64
@@ -180,16 +194,19 @@ type PartitionChecker struct {
 	obsSpillFailures   *obs.Counter
 }
 
-// NewPartitionChecker returns a checker whose cache holds at most cacheCap
-// partitions (0 disables caching beyond the base).
-func NewPartitionChecker(r *relation.Relation, cacheCap int) *PartitionChecker {
-	return &PartitionChecker{
-		r:     r,
-		cache: make(map[string]*SortedPartition),
-		cap:   cacheCap,
-		base:  Base(r.NumRows()),
+// NewPartitionChecker returns a checker over r.
+func NewPartitionChecker(r *relation.Relation) *PartitionChecker {
+	c := &PartitionChecker{
+		r:      r,
+		base:   Base(r.NumRows()),
+		single: make([]atomic.Pointer[SortedPartition], r.NumCols()),
 	}
+	c.scratch.New = func() any { return new(scratch) }
+	return c
 }
+
+// Relation returns the relation the checker operates on.
+func (c *PartitionChecker) Relation() *relation.Relation { return c.r }
 
 // SetStopFlag arms cooperative cancellation: once *stop is true, in-flight
 // and future checks abort quickly and conservatively report the candidate
@@ -214,131 +231,135 @@ func (c *PartitionChecker) SetObs(reg *obs.Registry) {
 // stopped reports whether a cooperative stop has been requested.
 func (c *PartitionChecker) stopped() bool { return c.stop != nil && c.stop.Load() }
 
-// ReleaseMemory drops every cached partition except the base, the
-// degradation step of the engine's soft memory budget. The checker stays
-// fully usable; later derivations restart from the base partition.
+// ReleaseMemory drops every cached single-column partition, the degradation
+// step of the engine's soft memory budget. The checker stays fully usable;
+// later checks re-derive (and re-cache) what they need.
 func (c *PartitionChecker) ReleaseMemory() {
-	c.mu.Lock()
-	c.cache = make(map[string]*SortedPartition)
-	c.fifo = nil
-	c.mu.Unlock()
+	for i := range c.single {
+		c.single[i].Store(nil)
+	}
 }
 
-// Partition returns the sorted partition of the list, deriving it from the
-// longest cached prefix. A nil return means the derivation was aborted by
-// the stop flag; partial partitions are discarded, never cached.
-func (c *PartitionChecker) Partition(x attr.List) *SortedPartition {
-	if len(x) == 0 {
-		return c.base
-	}
-	key := x.Key()
-	c.mu.Lock()
-	if sp, ok := c.cache[key]; ok {
-		c.mu.Unlock()
+// Checks returns the number of candidate checks performed so far, the
+// "#checks" statistic of Table 6.
+func (c *PartitionChecker) Checks() int64 { return c.checks.Load() }
+
+// column returns the cached sorted partition of [a], deriving it from the
+// base partition (or reloading it from spill) on a miss. nil means a stop
+// aborted the derivation; nothing partial is cached.
+func (c *PartitionChecker) column(a attr.ID) *SortedPartition {
+	slot := &c.single[a]
+	if sp := slot.Load(); sp != nil {
 		c.obsHits.Inc()
 		return sp
 	}
-	c.mu.Unlock()
 	c.obsMisses.Inc()
-	// A spilled exact match beats re-deriving: one verified disk read vs a
-	// chain of counting passes. Damaged or missing segments fall through to
+	// A spilled segment beats re-deriving: one verified disk read vs a
+	// counting pass. Damaged or missing segments fall through to
 	// derivation — always correct, never wrong results.
-	if c.sm != nil {
-		if sp := c.loadSpilled(key); sp != nil {
-			c.put(key, sp)
-			c.obsClasses.Observe(int64(sp.NumClasses()))
-			return sp
-		}
-	}
-	// longest cached proper prefix
 	var sp *SortedPartition
-	depth := 0
-	c.mu.Lock()
-	for k := len(x) - 1; k >= 1; k-- {
-		if cached, ok := c.cache[x[:k].Key()]; ok {
-			sp, depth = cached, k
-			break
-		}
+	if c.sm != nil {
+		sp = c.loadSpilled(a)
 	}
-	c.mu.Unlock()
 	if sp == nil {
-		sp = c.base
-	}
-	for ; depth < len(x); depth++ {
-		next, ok := sp.extendStop(c.r, x[depth], c.stop)
-		if !ok {
-			return nil // aborted: cached prefixes stay valid, nothing partial enters
+		sp = &SortedPartition{}
+		var counts []int32
+		if !c.base.extendInto(sp, c.r.Col(a), c.stop, &counts) {
+			return nil
 		}
-		sp = next
-		c.put(x[:depth+1].Key(), sp)
 	}
+	faultinject.Point("order.partition.cacheput")
+	slot.Store(sp)
 	c.obsClasses.Observe(int64(sp.NumClasses()))
 	return sp
 }
 
-func (c *PartitionChecker) put(key string, sp *SortedPartition) {
-	if c.cap <= 0 {
-		return
-	}
-	faultinject.Point("order.partition.cacheput")
-	var evictKey string
-	var evictSP *SortedPartition
-	c.mu.Lock()
-	if _, ok := c.cache[key]; !ok {
-		if len(c.fifo) >= c.cap {
-			evictKey = c.fifo[0]
-			evictSP = c.cache[evictKey]
-			delete(c.cache, evictKey)
-			c.fifo = c.fifo[1:]
+// derive returns the sorted partition of x∘y. A one-column list is its
+// cached partition and s is nil; a longer list is derived from its first
+// column's partition through the pooled scratch s, which the caller hands
+// back with release once it has scanned the result. A nil partition means
+// a stop aborted the derivation.
+// lint:hot
+func (c *PartitionChecker) derive(x, y attr.List) (sp *SortedPartition, s *scratch) {
+	n := len(x) + len(y)
+	at := func(i int) attr.ID {
+		if i < len(x) {
+			return x[i]
 		}
-		c.cache[key] = sp
-		c.fifo = append(c.fifo, key)
+		return y[i-len(x)]
 	}
-	c.mu.Unlock()
-	// The FIFO victim spills instead of vanishing — file I/O outside the
-	// lock so concurrent checks keep flowing.
-	if evictSP != nil && c.sm != nil {
-		c.spillPartition(evictKey, evictSP)
+	if n == 0 {
+		return c.base, nil
+	}
+	sp = c.column(at(0))
+	if sp == nil || n == 1 {
+		return sp, nil
+	}
+	s = c.scratch.Get().(*scratch)
+	dst := &s.a
+	// Once every class is a single row, further attributes change nothing.
+	for i := 1; i < n && sp.NumClasses() < len(sp.Idx); i++ {
+		if c.stopped() || !sp.extendInto(dst, c.r.Col(at(i)), c.stop, &s.counts) {
+			c.release(s)
+			return nil, nil
+		}
+		sp = dst
+		if dst == &s.a {
+			dst = &s.b
+		} else {
+			dst = &s.a
+		}
+	}
+	c.obsClasses.Observe(int64(sp.NumClasses()))
+	return sp, s
+}
+
+// release returns derivation scratch to the pool; nil is a no-op.
+func (c *PartitionChecker) release(s *scratch) {
+	if s != nil {
+		c.scratch.Put(s)
 	}
 }
 
+// Partition returns the sorted partition of the list as a fresh copy the
+// caller owns. A nil return means the derivation was aborted by the stop
+// flag.
+func (c *PartitionChecker) Partition(x attr.List) *SortedPartition {
+	sp, s := c.derive(x, nil)
+	defer c.release(s)
+	if sp == nil {
+		return nil
+	}
+	return sp.clone()
+}
+
 // CheckOD reports whether X → Y holds, scanning X's sorted partition: rows
-// inside one class must agree on Y, and Y must never decrease across the
-// class sequence.
+// inside one class must agree on Y (else a split), and Y must never
+// decrease across the class sequence (else a swap).
 // lint:hot
 func (c *PartitionChecker) CheckOD(x, y attr.List) bool {
 	c.checks.Add(1)
 	faultinject.Point("order.partition.check")
-	sp := c.Partition(x)
+	sp, s := c.derive(x, nil)
+	defer c.release(s)
 	if sp == nil {
 		return false // aborted derivation: conservatively invalid
 	}
 	r := c.r
+	prev := -1
 	start := int32(0)
-	var tick uint32
-	for _, end := range sp.Ends {
-		tick++
-		if tick&stopCheckMask == 0 && c.stopped() {
+	for k, end := range sp.Ends {
+		if uint32(k)&stopCheckMask == 0 && c.stopped() {
 			return false // aborted scan: conservatively invalid
 		}
 		cls := sp.Idx[start:end]
-		for i := 1; i < len(cls); i++ {
-			if CompareRows(r, int(cls[0]), int(cls[i]), y) != 0 {
+		rep := int(cls[0])
+		for _, row := range cls[1:] {
+			if CompareRows(r, rep, int(row), y) != 0 {
 				return false // split
 			}
 		}
-		start = end
-	}
-	// across classes: representatives in order must be non-decreasing on Y
-	prev := int32(-1)
-	start = 0
-	for _, end := range sp.Ends {
-		tick++
-		if tick&stopCheckMask == 0 && c.stopped() {
-			return false // aborted scan: conservatively invalid
-		}
-		rep := sp.Idx[start]
-		if prev >= 0 && CompareRows(r, int(prev), int(rep), y) > 0 {
+		if prev >= 0 && CompareRows(r, prev, rep, y) > 0 {
 			return false // swap
 		}
 		prev = rep
@@ -355,23 +376,27 @@ func (c *PartitionChecker) CheckOD(x, y attr.List) bool {
 func (c *PartitionChecker) CheckOCD(x, y attr.List) bool {
 	c.checks.Add(1)
 	faultinject.Point("order.partition.check")
-	sp := c.Partition(x.Concat(y))
+	sp, s := c.derive(x, y)
+	defer c.release(s)
 	if sp == nil {
 		return false // aborted derivation: conservatively invalid
 	}
 	r := c.r
-	yx := y.Concat(x)
-	prev := int32(-1)
+	prev := -1
 	start := int32(0)
-	var tick uint32
-	for _, end := range sp.Ends {
-		tick++
-		if tick&stopCheckMask == 0 && c.stopped() {
+	for k, end := range sp.Ends {
+		if uint32(k)&stopCheckMask == 0 && c.stopped() {
 			return false // aborted scan: conservatively invalid
 		}
-		rep := sp.Idx[start]
-		if prev >= 0 && CompareRows(r, int(prev), int(rep), yx) > 0 {
-			return false
+		rep := int(sp.Idx[start])
+		if prev >= 0 {
+			cmp := CompareRows(r, prev, rep, y)
+			if cmp == 0 {
+				cmp = CompareRows(r, prev, rep, x)
+			}
+			if cmp > 0 {
+				return false
+			}
 		}
 		prev = rep
 		start = end
@@ -379,25 +404,14 @@ func (c *PartitionChecker) CheckOCD(x, y attr.List) bool {
 	return true
 }
 
-// Checks returns the number of candidate checks performed, mirroring
-// Checker.Checks for interchangeable use by the discovery engine.
-func (c *PartitionChecker) Checks() int64 { return c.checks.Load() }
-
-// OrderEquivalent reports X ↔ Y.
-func (c *PartitionChecker) OrderEquivalent(x, y attr.List) bool {
-	return c.CheckOD(x, y) && c.CheckOD(y, x)
-}
-
-// Relation returns the underlying relation.
-func (c *PartitionChecker) Relation() *relation.Relation { return c.r }
-
-// CheckODFull checks X → Y and classifies the violations, mirroring
-// Checker.CheckODFull for the partition backend: a class whose rows differ
-// on Y is a split; a decrease of Y across the class sequence is a swap.
+// CheckODFull checks X → Y and classifies the violations: a class of X whose
+// rows differ on Y is a split; a row whose Y is below the largest Y of an
+// earlier class is a swap. Both witnesses are genuine violating pairs.
 func (c *PartitionChecker) CheckODFull(x, y attr.List) ODResult {
 	c.checks.Add(1)
 	faultinject.Point("order.partition.check")
-	sp := c.Partition(x)
+	sp, s := c.derive(x, nil)
+	defer c.release(s)
 	if sp == nil {
 		// Aborted derivation: conservatively report both violation kinds so
 		// no pruning rule treats the candidate as verified.
@@ -406,57 +420,55 @@ func (c *PartitionChecker) CheckODFull(x, y attr.List) ODResult {
 	r := c.r
 	res := ODResult{Valid: true}
 	start := int32(0)
-	var prevRep int32 = -1
-	var tick uint32
-	for _, end := range sp.Ends {
-		tick++
-		if tick&stopCheckMask == 0 && c.stopped() {
+	// maxRow is the row with the largest Y over all earlier classes: a swap
+	// exists iff some class's smallest Y is below it.
+	maxRow := -1
+	for k, end := range sp.Ends {
+		if uint32(k)&stopCheckMask == 0 && c.stopped() {
 			return ODResult{HasSplit: true, HasSwap: true} // aborted scan
 		}
 		cls := sp.Idx[start:end]
-		if !res.HasSplit {
-			for i := 1; i < len(cls); i++ {
-				if CompareRows(r, int(cls[0]), int(cls[i]), y) != 0 {
-					res.HasSplit = true
-					res.SplitWitness = Violation{Kind: Split, P: int(cls[0]), Q: int(cls[i])}
-					break
-				}
-			}
-		}
-		// Swap detection must compare the extremes of Y within each class
-		// when splits exist; comparing class minima/maxima via a scan of
-		// the class keeps it exact.
-		if !res.HasSwap && prevRep >= 0 {
-			// smallest Y in this class vs largest Y seen before would be
-			// exact; comparing against the previous class's max-Y row is
-			// sufficient by the boundary argument when classes are scanned
-			// in ⪯_X order with per-class Y extremes.
-			minRow := cls[0]
-			for _, row := range cls[1:] {
-				if CompareRows(r, int(row), int(minRow), y) < 0 {
-					minRow = row
-				}
-			}
-			if CompareRows(r, int(prevRep), int(minRow), y) > 0 {
-				res.HasSwap = true
-				res.SwapWitness = Violation{Kind: Swap, P: int(prevRep), Q: int(minRow)}
-			}
-		}
-		// carry forward the maximal-Y row seen so far
-		maxRow := cls[0]
+		start = end
+		lo, hi := int(cls[0]), int(cls[0])
 		for _, row := range cls[1:] {
-			if CompareRows(r, int(row), int(maxRow), y) > 0 {
-				maxRow = row
+			if CompareRows(r, int(row), lo, y) < 0 {
+				lo = int(row)
+			}
+			if CompareRows(r, int(row), hi, y) > 0 {
+				hi = int(row)
 			}
 		}
-		if prevRep < 0 || CompareRows(r, int(maxRow), int(prevRep), y) > 0 {
-			prevRep = maxRow
+		if !res.HasSplit && lo != hi {
+			res.HasSplit = true
+			res.SplitWitness = Violation{Kind: Split, P: lo, Q: hi}
+		}
+		if !res.HasSwap && maxRow >= 0 && CompareRows(r, maxRow, lo, y) > 0 {
+			res.HasSwap = true
+			res.SwapWitness = Violation{Kind: Swap, P: maxRow, Q: lo}
 		}
 		if res.HasSplit && res.HasSwap {
-			break
+			break // nothing more to learn
 		}
-		start = end
+		if maxRow < 0 || CompareRows(r, hi, maxRow, y) > 0 {
+			maxRow = hi
+		}
 	}
 	res.Valid = !res.HasSplit && !res.HasSwap
 	return res
+}
+
+// OrderEquivalent reports X ↔ Y (both X → Y and Y → X hold).
+func (c *PartitionChecker) OrderEquivalent(x, y attr.List) bool {
+	return c.CheckOD(x, y) && c.CheckOD(y, x)
+}
+
+// IsConstantList reports whether every attribute in x is constant; the empty
+// list is trivially constant.
+func (c *PartitionChecker) IsConstantList(x attr.List) bool {
+	for _, a := range x {
+		if !c.r.IsConstant(a) {
+			return false
+		}
+	}
+	return true
 }

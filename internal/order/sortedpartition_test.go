@@ -2,6 +2,7 @@ package order
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"ocd/internal/attr"
@@ -60,43 +61,69 @@ func TestExtendMatchesFreshSort(t *testing.T) {
 	}
 }
 
+// TestPartitionCheckerAgreesWithChecker: CheckOD and CheckOCD agree with
+// the pairwise reference of Definition 2.1, which shares no sorting code
+// with the kernel.
 func TestPartitionCheckerAgreesWithChecker(t *testing.T) {
 	rng := rand.New(rand.NewSource(223))
 	for trial := 0; trial < 150; trial++ {
 		r := randomRelation(rng, 2+rng.Intn(25), 4, 1+rng.Intn(4))
-		pc := NewPartitionChecker(r, 16)
-		ck := NewChecker(r, 16)
+		pc := NewPartitionChecker(r)
 		x := randomList(rng, 4, 2)
 		y := randomList(rng, 4, 2)
-		if got, want := pc.CheckOD(x, y), ck.CheckOD(x, y); got != want {
-			t.Fatalf("trial %d: PartitionChecker.CheckOD(%v,%v) = %v, Checker = %v",
-				trial, x, y, got, want)
+		if got, want := pc.CheckOD(x, y), bruteOD(r, x, y); got != want {
+			t.Fatalf("trial %d: CheckOD(%v,%v) = %v, brute = %v", trial, x, y, got, want)
 		}
-		if got, want := pc.CheckOCD(x, y), ck.CheckOCD(x, y); got != want {
-			t.Fatalf("trial %d: PartitionChecker.CheckOCD(%v,%v) = %v, Checker = %v",
-				trial, x, y, got, want)
+		if got, want := pc.CheckOCD(x, y), bruteOCD(r, x, y); got != want {
+			t.Fatalf("trial %d: CheckOCD(%v,%v) = %v, brute = %v", trial, x, y, got, want)
 		}
 	}
 }
 
+// TestPartitionCheckerPrefixReuse: lists derived from a cached first column
+// match a fresh sort, and the scratch buffers one derivation leaves in the
+// pool never leak into the next one's answer.
 func TestPartitionCheckerPrefixReuse(t *testing.T) {
 	r := randomRelation(rand.New(rand.NewSource(227)), 100, 4, 3)
-	pc := NewPartitionChecker(r, 16)
-	a := pc.Partition(attr.NewList(0, 1))
-	// child derivation must reuse the cached parent (pointer identity of
-	// prefix partitions is not observable; verify equal results instead)
-	b := pc.Partition(attr.NewList(0, 1, 2))
-	want := referenceSort(r, attr.NewList(0, 1, 2))
-	for i := range want {
-		if b.Idx[i] != want[i] {
-			t.Fatal("derived child partition wrong")
+	pc := NewPartitionChecker(r)
+	for _, x := range []attr.List{
+		attr.NewList(0, 1), attr.NewList(0, 1, 2), attr.NewList(0, 3), attr.NewList(0, 1), attr.NewList(0),
+	} {
+		got := pc.Partition(x)
+		want := referenceSort(r, x)
+		for i := range want {
+			if got.Idx[i] != want[i] {
+				t.Fatalf("Partition(%v).Idx = %v, want %v", x, got.Idx, want)
+			}
 		}
 	}
-	// repeated request hits the cache and stays consistent
-	c := pc.Partition(attr.NewList(0, 1))
-	for i := range a.Idx {
-		if a.Idx[i] != c.Idx[i] {
-			t.Fatal("cache returned a different partition")
+	// Partition returns a copy: mutating it must not reach the cache.
+	p := pc.Partition(attr.NewList(0))
+	p.Idx[0], p.Idx[1] = p.Idx[1], p.Idx[0]
+	if q := pc.Partition(attr.NewList(0)); q.Idx[0] == p.Idx[0] && q.Idx[1] == p.Idx[1] {
+		t.Error("Partition handed out the cached partition")
+	}
+}
+
+// TestPartitionOnRowSlices pins the sparse-code case: HeadRows and
+// SelectRows keep the parent's code space, so a slice can hold codes far
+// beyond its own distinct count; the counting sort must size its counters
+// by the codes actually present.
+func TestPartitionOnRowSlices(t *testing.T) {
+	rng := rand.New(rand.NewSource(199))
+	rows := make([][]int, 10000)
+	for i := range rows {
+		rows[i] = []int{rng.Intn(1000000), rng.Intn(100)}
+	}
+	r := relation.FromInts("big", []string{"A", "B"}, rows)
+	x := attr.NewList(1, 0)
+	for _, s := range []*relation.Relation{r.HeadRows(6000), r.SelectRows([]int{9999, 0, 5000, 42, 4999, 7777})} {
+		got := NewPartitionChecker(s).Partition(x)
+		want := referenceSort(s, x)
+		for i := range want {
+			if got.Idx[i] != want[i] {
+				t.Fatalf("%d-row slice: partition diverges at %d", s.NumRows(), i)
+			}
 		}
 	}
 }
@@ -108,28 +135,52 @@ func TestPartitionCheckerEmptyAndNulls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pc := NewPartitionChecker(r, 8)
+	pc := NewPartitionChecker(r)
 	if !pc.CheckOD(attr.NewList(0), attr.NewList(1)) {
 		t.Error("A → B should hold under NULLS FIRST")
 	}
+	// NULLS FIRST on both columns: the all-NULL row leads the order.
+	nulls, err := relation.FromStrings("n", []string{"A", "B"}, [][]string{
+		{"", "2"}, {"1", ""}, {"", ""}, {"2", "1"}, {"1", "1"},
+	}, relation.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := attr.NewList(0, 1)
+	got, want := NewPartitionChecker(nulls).Partition(x).Idx, referenceSort(nulls, x)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("Partition(%v).Idx = %v, want %v", x, got, want)
+		}
+	}
+	if got[0] != 2 {
+		t.Errorf("NULL row not first: %v", got)
+	}
 	empty := relation.FromInts("e", []string{"A", "B"}, nil)
-	pce := NewPartitionChecker(empty, 8)
+	pce := NewPartitionChecker(empty)
 	if !pce.CheckOD(attr.NewList(0), attr.NewList(1)) {
 		t.Error("vacuous OD on empty relation")
+	}
+	if sp := pce.Partition(attr.NewList(0, 1)); len(sp.Idx) != 0 || sp.NumClasses() != 0 {
+		t.Errorf("empty relation partition = %+v", sp)
+	}
+	// The empty list keeps the original row order in one class.
+	two := NewPartitionChecker(relation.FromInts("t", []string{"A"}, [][]int{{3}, {1}}))
+	if sp := two.Partition(attr.List{}); sp.Idx[0] != 0 || sp.Idx[1] != 1 || sp.NumClasses() != 1 {
+		t.Errorf("Partition([]) = %+v", sp)
 	}
 }
 
 func TestPartitionCheckerConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(229))
 	r := randomRelation(rng, 300, 5, 4)
-	pc := NewPartitionChecker(r, 32)
-	ck := NewChecker(r, 32)
+	pc := NewPartitionChecker(r)
 	type cand struct{ x, y attr.List }
 	cands := make([]cand, 48)
 	want := make([]bool, len(cands))
 	for i := range cands {
 		cands[i] = cand{randomList(rng, 5, 3), randomList(rng, 5, 3)}
-		want[i] = ck.CheckOCD(cands[i].x, cands[i].y)
+		want[i] = bruteOCD(r, cands[i].x, cands[i].y)
 	}
 	done := make(chan bool)
 	for w := 0; w < 6; w++ {
@@ -150,22 +201,21 @@ func TestPartitionCheckerConcurrent(t *testing.T) {
 	}
 }
 
-// TestPartitionCheckODFullAgrees: validity and violation kinds must match
-// the re-sorting checker (witnesses may legitimately differ).
+// TestPartitionCheckODFullAgrees: validity and violation kinds match the
+// pairwise reference of Definition 2.1, and every witness is a genuine
+// violating pair.
 func TestPartitionCheckODFullAgrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(263))
 	for trial := 0; trial < 200; trial++ {
 		r := randomRelation(rng, 2+rng.Intn(20), 3, 1+rng.Intn(4))
-		pc := NewPartitionChecker(r, 16)
-		ck := NewChecker(r, 16)
+		pc := NewPartitionChecker(r)
 		x := randomList(rng, 3, 2)
 		y := randomList(rng, 3, 2)
 		a := pc.CheckODFull(x, y)
-		b := ck.CheckODFull(x, y)
-		if a.Valid != b.Valid || a.HasSplit != b.HasSplit || a.HasSwap != b.HasSwap {
-			t.Fatalf("trial %d: %+v vs %+v for %v→%v", trial, a, b, x, y)
+		split, swap := bruteViolations(r, x, y)
+		if a.HasSplit != split || a.HasSwap != swap || a.Valid != (!split && !swap) {
+			t.Fatalf("trial %d: %+v, brute split=%v swap=%v for %v→%v", trial, a, split, swap, x, y)
 		}
-		// witnesses, when present, must be genuine
 		if a.HasSplit {
 			p, q := a.SplitWitness.P, a.SplitWitness.Q
 			if CompareRows(r, p, q, x) != 0 || CompareRows(r, p, q, y) == 0 {
@@ -179,4 +229,17 @@ func TestPartitionCheckODFullAgrees(t *testing.T) {
 			}
 		}
 	}
+}
+
+// referenceSort is a plain comparison sort of the row positions by x,
+// stable so ties keep the original row order.
+func referenceSort(r *relation.Relation, x attr.List) []int32 {
+	idx := make([]int32, r.NumRows())
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	sort.SliceStable(idx, func(a, b int) bool {
+		return CompareRows(r, int(idx[a]), int(idx[b]), x) < 0
+	})
+	return idx
 }

@@ -5,13 +5,16 @@ import (
 	"errors"
 	"fmt"
 
+	"ocd/internal/attr"
 	"ocd/internal/spill"
 )
 
-// This file gives both checker backends an out-of-core mode: when a spill
-// manager is attached (SetSpill), cache eviction writes the evicted entry
-// to a checksummed disk segment instead of discarding it, and a cache miss
-// tries to reload the segment before recomputing from rank codes.
+// This file gives the checker an out-of-core mode: when a spill manager is
+// attached (SetSpill), EvictToSpill — the first rung of the engine's memory
+// budget — writes the cached single-column partitions to checksummed disk
+// segments, and a later cache miss tries to reload the segment before
+// recomputing from rank codes. Without a tripped budget nothing is spilled:
+// the cache is bounded by the column count and never evicts on its own.
 //
 // Spilled entries are pure cache — everything here can be rebuilt from the
 // relation — so spill I/O failures degrade instead of propagating, in a
@@ -95,50 +98,14 @@ func decodePartition(payload []byte, numRows int) (*SortedPartition, error) {
 	return sp, nil
 }
 
-// encodeIndex serializes a sorted index: a little-endian uint64 length
-// followed by the positions as little-endian int32s.
-func encodeIndex(idx []int32) []byte {
-	buf := make([]byte, 8+4*len(idx))
-	binary.LittleEndian.PutUint64(buf[0:], uint64(len(idx)))
-	off := 8
-	for _, v := range idx {
-		binary.LittleEndian.PutUint32(buf[off:], uint32(v))
-		off += 4
-	}
-	return buf
-}
-
-// decodeIndex deserializes and validates a sorted index for a relation of
-// numRows rows.
-func decodeIndex(payload []byte, numRows int) ([]int32, error) {
-	if len(payload) < 8 {
-		return nil, fmt.Errorf("%w: %d bytes", errSpillShape, len(payload))
-	}
-	n := binary.LittleEndian.Uint64(payload[0:])
-	if n != uint64(numRows) || uint64(len(payload)) != 8+4*n {
-		return nil, fmt.Errorf("%w: %d positions in %d bytes for a %d-row relation", errSpillShape, n, len(payload), numRows)
-	}
-	idx := make([]int32, n)
-	off := 8
-	for i := range idx {
-		v := int32(binary.LittleEndian.Uint32(payload[off:]))
-		if v < 0 || int(v) >= numRows {
-			return nil, fmt.Errorf("%w: row %d out of range", errSpillShape, v)
-		}
-		idx[i] = v
-		off += 4
-	}
-	return idx, nil
-}
-
 // spillPut writes one payload with the write rung of the ladder: retry
 // once on failure, then give up (the entry is recomputed on demand).
 // Reports whether the payload is durably spilled.
-func spillPut(sm *spill.Manager, key string, payload []byte, retries, failures func()) bool {
-	if err := sm.Put(key, payload); err != nil {
-		retries()
-		if err := sm.Put(key, payload); err != nil {
-			failures()
+func (c *PartitionChecker) spillPut(key string, payload []byte) bool {
+	if err := c.sm.Put(key, payload); err != nil {
+		c.obsSpillRetries.Inc()
+		if err := c.sm.Put(key, payload); err != nil {
+			c.obsSpillFailures.Inc()
 			return false
 		}
 	}
@@ -148,27 +115,27 @@ func spillPut(sm *spill.Manager, key string, payload []byte, retries, failures f
 // spillGet reads one payload with the read rung of the ladder: retry once
 // on any failure, then drop the segment so the caller recomputes from rank
 // codes. nil means no usable segment.
-func spillGet(sm *spill.Manager, key string, retries, recomputes func()) []byte {
-	payload, err := sm.Get(key)
+func (c *PartitionChecker) spillGet(key string) []byte {
+	payload, err := c.sm.Get(key)
 	if err != nil {
 		if errors.Is(err, spill.ErrNoSegment) {
 			return nil
 		}
-		retries()
-		payload, err = sm.Get(key)
+		c.obsSpillRetries.Inc()
+		payload, err = c.sm.Get(key)
 		if err != nil {
 			// Torn, corrupt, or persistently failing: the segment is useless.
 			// Forget it and let the caller recompute — never use damaged data.
-			sm.Drop(key)
-			recomputes()
+			c.sm.Drop(key)
+			c.obsSpillRecomputes.Inc()
 			return nil
 		}
 	}
 	return payload
 }
 
-// SetSpill attaches a spill manager: cache evictions spill to disk and
-// misses reload from it. Not safe to call concurrently with checks.
+// SetSpill attaches a spill manager: EvictToSpill writes to it and misses
+// reload from it. Not safe to call concurrently with checks.
 func (c *PartitionChecker) SetSpill(sm *spill.Manager) { c.sm = sm }
 
 // SpillStats returns how many partitions were spilled to disk and how many
@@ -177,10 +144,13 @@ func (c *PartitionChecker) SpillStats() (evictions, reloads int64) {
 	return c.spillEvictions.Load(), c.spillReloads.Load()
 }
 
+// spillKey names the segment holding the partition of column a.
+func spillKey(a attr.ID) string { return attr.Singleton(a).Key() }
+
 // spillPartition writes one evicted partition to the spill manager,
-// following the write ladder. Must be called without c.mu held.
-func (c *PartitionChecker) spillPartition(key string, sp *SortedPartition) bool {
-	if !spillPut(c.sm, key, encodePartition(sp), c.obsSpillRetries.Inc, c.obsSpillFailures.Inc) {
+// following the write ladder.
+func (c *PartitionChecker) spillPartition(a attr.ID, sp *SortedPartition) bool {
+	if !c.spillPut(spillKey(a), encodePartition(sp)) {
 		return false
 	}
 	c.spillEvictions.Add(1)
@@ -188,11 +158,11 @@ func (c *PartitionChecker) spillPartition(key string, sp *SortedPartition) bool 
 	return true
 }
 
-// loadSpilled reloads the partition for key from the spill manager,
-// following the read ladder. nil means recompute. Must be called without
-// c.mu held.
-func (c *PartitionChecker) loadSpilled(key string) *SortedPartition {
-	payload := spillGet(c.sm, key, c.obsSpillRetries.Inc, c.obsSpillRecomputes.Inc)
+// loadSpilled reloads the partition of column a from the spill manager,
+// following the read ladder. nil means recompute.
+func (c *PartitionChecker) loadSpilled(a attr.ID) *SortedPartition {
+	key := spillKey(a)
+	payload := c.spillGet(key)
 	if payload == nil {
 		return nil
 	}
@@ -216,82 +186,9 @@ func (c *PartitionChecker) EvictToSpill() int {
 	if c.sm == nil {
 		return 0
 	}
-	c.mu.Lock()
-	keys := c.fifo
-	parts := make([]*SortedPartition, len(keys))
-	for i, k := range keys {
-		parts[i] = c.cache[k]
-	}
-	c.cache = make(map[string]*SortedPartition)
-	c.fifo = nil
-	c.mu.Unlock()
 	n := 0
-	for i, k := range keys {
-		if parts[i] != nil && c.spillPartition(k, parts[i]) {
-			n++
-		}
-	}
-	return n
-}
-
-// SetSpill attaches a spill manager: cache evictions spill to disk and
-// misses reload from it. Not safe to call concurrently with checks.
-func (c *Checker) SetSpill(sm *spill.Manager) { c.sm = sm }
-
-// SpillStats returns how many sorted indexes were spilled to disk and how
-// many were reloaded from it.
-func (c *Checker) SpillStats() (evictions, reloads int64) {
-	return c.spillEvictions.Load(), c.spillReloads.Load()
-}
-
-// spillIndex writes one evicted index to the spill manager, following the
-// write ladder. Must be called without c.mu held.
-func (c *Checker) spillIndex(key string, idx []int32) bool {
-	if !spillPut(c.sm, key, encodeIndex(idx), c.obsSpillRetries.Inc, c.obsSpillFailures.Inc) {
-		return false
-	}
-	c.spillEvictions.Add(1)
-	c.obsSpillEvictions.Inc()
-	return true
-}
-
-// loadSpilled reloads the index for key from the spill manager, following
-// the read ladder. nil means recompute. Must be called without c.mu held.
-func (c *Checker) loadSpilled(key string) []int32 {
-	payload := spillGet(c.sm, key, c.obsSpillRetries.Inc, c.obsSpillRecomputes.Inc)
-	if payload == nil {
-		return nil
-	}
-	idx, err := decodeIndex(payload, c.r.NumRows())
-	if err != nil {
-		c.sm.Drop(key)
-		c.obsSpillRecomputes.Inc()
-		return nil
-	}
-	c.spillReloads.Add(1)
-	c.obsSpillReloads.Inc()
-	return idx
-}
-
-// EvictToSpill moves every cached sorted index to disk and clears the
-// memory cache. Returns the number of indexes durably spilled; see
-// PartitionChecker.EvictToSpill for the contract.
-func (c *Checker) EvictToSpill() int {
-	if c.sm == nil {
-		return 0
-	}
-	c.mu.Lock()
-	keys := c.fifo
-	idxs := make([][]int32, len(keys))
-	for i, k := range keys {
-		idxs[i] = c.cache[k]
-	}
-	c.cache = make(map[string][]int32)
-	c.fifo = nil
-	c.mu.Unlock()
-	n := 0
-	for i, k := range keys {
-		if idxs[i] != nil && c.spillIndex(k, idxs[i]) {
+	for i := range c.single {
+		if sp := c.single[i].Swap(nil); sp != nil && c.spillPartition(attr.ID(i), sp) {
 			n++
 		}
 	}

@@ -43,13 +43,16 @@ func TestSpillReadFaultsDegradeToRecompute(t *testing.T) {
 	defer faultinject.Reset()
 	lists, rng := spillWorkload(91)
 	r := randomRelation(rng, 50, 4, 3)
-	mem := NewPartitionChecker(r, 1024)
-	spilled := NewPartitionChecker(r, 2)
+	mem := NewPartitionChecker(r)
+	spilled := NewPartitionChecker(r)
 	spilled.SetSpill(newTestSpill(t))
 
 	faultinject.Arm("spill.read", faultinject.Rule{Action: faultinject.ActionErr, EveryK: 1})
 	checkAllAgainst(t, spilled, mem, lists)
-	checkAllAgainst(t, spilled, mem, lists) // second pass would reload if reads worked
+	if spilled.EvictToSpill() == 0 {
+		t.Fatal("EvictToSpill moved nothing despite a warm cache")
+	}
+	checkAllAgainst(t, spilled, mem, lists) // this pass would reload if reads worked
 	if _, rel := spilled.SpillStats(); rel != 0 {
 		t.Errorf("reloads = %d with every read failing, want 0", rel)
 	}
@@ -62,20 +65,22 @@ func TestSpillWriteFaultsDegradeGracefully(t *testing.T) {
 	defer faultinject.Reset()
 	lists, rng := spillWorkload(92)
 	r := randomRelation(rng, 50, 4, 3)
-	mem := NewPartitionChecker(r, 1024)
-	spilled := NewPartitionChecker(r, 2)
+	mem := NewPartitionChecker(r)
+	spilled := NewPartitionChecker(r)
 	spilled.SetSpill(newTestSpill(t))
 
 	faultinject.Arm("spill.write", faultinject.Rule{Action: faultinject.ActionErr, EveryK: 1})
 	checkAllAgainst(t, spilled, mem, lists)
-	if ev, _ := spilled.SpillStats(); ev != 0 {
-		t.Errorf("evictions = %d with every write failing, want 0", ev)
-	}
 	// With writes failing everywhere, EvictToSpill reports no progress —
 	// the signal that lets the engine move to the next ladder rung.
 	if n := spilled.EvictToSpill(); n != 0 {
 		t.Errorf("EvictToSpill = %d under total write failure, want 0", n)
 	}
+	if ev, _ := spilled.SpillStats(); ev != 0 {
+		t.Errorf("evictions = %d with every write failing, want 0", ev)
+	}
+	// The unspilled partitions were dropped; checks recompute them exactly.
+	checkAllAgainst(t, spilled, mem, lists)
 }
 
 // TestSpillTornSegmentsRecompute: every segment is torn on disk; reloads
@@ -86,13 +91,14 @@ func TestSpillTornSegmentsRecompute(t *testing.T) {
 	defer faultinject.Reset()
 	lists, rng := spillWorkload(93)
 	r := randomRelation(rng, 50, 4, 3)
-	mem := NewPartitionChecker(r, 1024)
-	spilled := NewPartitionChecker(r, 2)
+	mem := NewPartitionChecker(r)
+	spilled := NewPartitionChecker(r)
 	sm := newTestSpill(t)
 	spilled.SetSpill(sm)
 
 	faultinject.Arm("spill.write.torn", faultinject.Rule{Action: faultinject.ActionErr, EveryK: 1})
 	checkAllAgainst(t, spilled, mem, lists)
+	spilled.EvictToSpill()
 	faultinject.Reset()
 	// Everything spilled so far is torn; the second pass must detect each
 	// tear, drop the segment, and recompute.
@@ -106,11 +112,12 @@ func TestSpillBitRotRecomputes(t *testing.T) {
 	defer faultinject.Reset()
 	lists, rng := spillWorkload(94)
 	r := randomRelation(rng, 50, 4, 3)
-	mem := NewPartitionChecker(r, 1024)
-	spilled := NewPartitionChecker(r, 2)
+	mem := NewPartitionChecker(r)
+	spilled := NewPartitionChecker(r)
 	spilled.SetSpill(newTestSpill(t))
 
 	checkAllAgainst(t, spilled, mem, lists)
+	spilled.EvictToSpill()
 	faultinject.Arm("spill.read.corrupt", faultinject.Rule{Action: faultinject.ActionErr, EveryK: 2})
 	checkAllAgainst(t, spilled, mem, lists)
 }
@@ -122,11 +129,12 @@ func TestSpillTransientReadFaultRetries(t *testing.T) {
 	defer faultinject.Reset()
 	lists, rng := spillWorkload(95)
 	r := randomRelation(rng, 50, 4, 3)
-	mem := NewPartitionChecker(r, 1024)
-	spilled := NewPartitionChecker(r, 2)
+	mem := NewPartitionChecker(r)
+	spilled := NewPartitionChecker(r)
 	spilled.SetSpill(newTestSpill(t))
 
 	checkAllAgainst(t, spilled, mem, lists)
+	spilled.EvictToSpill()
 	faultinject.Arm("spill.read", faultinject.Rule{Action: faultinject.ActionErr, EveryK: 2})
 	checkAllAgainst(t, spilled, mem, lists)
 	if _, rel := spilled.SpillStats(); rel == 0 {

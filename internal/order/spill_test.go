@@ -58,8 +58,8 @@ func TestPartitionCodecRejectsBadShapes(t *testing.T) {
 		"wrong rows": good, // decoded against the wrong relation size below
 		"truncated":  good[:len(good)-4],
 	}
-	if _, err := decodePartition(cases["short"], 4); err == nil {
-		t.Error("short payload accepted")
+	if _, err := decodePartition(cases["short"], 4); !errors.Is(err, errSpillShape) {
+		t.Errorf("short payload: err = %v, want errSpillShape", err)
 	}
 	if _, err := decodePartition(cases["wrong rows"], 5); err == nil {
 		t.Error("payload for 4 rows accepted for a 5-row relation")
@@ -77,39 +77,14 @@ func TestPartitionCodecRejectsBadShapes(t *testing.T) {
 	}
 }
 
-func TestIndexCodecRoundTrip(t *testing.T) {
-	idx := []int32{3, 1, 0, 2}
-	got, err := decodeIndex(encodeIndex(idx), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range idx {
-		if got[i] != idx[i] {
-			t.Fatalf("decode = %v, want %v", got, idx)
-		}
-	}
-	if _, err := decodeIndex(encodeIndex(idx), 5); err == nil {
-		t.Error("index for 4 rows accepted for a 5-row relation")
-	}
-	if _, err := decodeIndex([]byte{1, 2}, 4); err == nil {
-		t.Error("short payload accepted")
-	}
-	if _, err := decodeIndex(encodeIndex([]int32{4, 0, 1, 2}), 4); err == nil {
-		t.Error("out-of-range position accepted")
-	}
-	if !errors.Is(func() error { _, err := decodeIndex(nil, 0); return err }(), errSpillShape) {
-		t.Error("decode errors should wrap errSpillShape")
-	}
-}
-
-// TestPartitionCheckerSpillsAndReloads: a tiny cache under a spill manager
-// must evict to disk, reload on demand, and answer every check exactly as
-// an unconstrained in-memory checker does.
+// TestPartitionCheckerSpillsAndReloads: a checker whose cache was moved to
+// disk reloads on demand and answers every check exactly as an in-memory
+// checker does.
 func TestPartitionCheckerSpillsAndReloads(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	r := randomRelation(rng, 60, 5, 3)
-	mem := NewPartitionChecker(r, 1024)
-	spilled := NewPartitionChecker(r, 2) // tiny: almost every put evicts
+	mem := NewPartitionChecker(r)
+	spilled := NewPartitionChecker(r)
 	spilled.SetSpill(newTestSpill(t))
 
 	lists := make([][2]attr.List, 0, 60)
@@ -117,8 +92,8 @@ func TestPartitionCheckerSpillsAndReloads(t *testing.T) {
 		x, y := randomList(rng, 5, 2), randomList(rng, 5, 2)
 		lists = append(lists, [2]attr.List{x, y})
 	}
-	// Two passes: the second pass hits spilled segments for lists whose
-	// partitions were evicted during the first.
+	// Two passes around a full eviction: the second pass reloads the
+	// partitions the first one cached.
 	for pass := 0; pass < 2; pass++ {
 		for i, l := range lists {
 			if got, want := spilled.CheckOD(l[0], l[1]), mem.CheckOD(l[0], l[1]); got != want {
@@ -128,35 +103,47 @@ func TestPartitionCheckerSpillsAndReloads(t *testing.T) {
 				t.Fatalf("pass %d list %d: CheckOCD = %v, want %v", pass, i, got, want)
 			}
 		}
+		if pass == 0 && spilled.EvictToSpill() == 0 {
+			t.Fatal("EvictToSpill moved nothing despite a warm cache")
+		}
 	}
 	ev, rel := spilled.SpillStats()
 	if ev == 0 {
-		t.Error("no partitions were spilled despite a cap-2 cache")
+		t.Error("no partitions were spilled")
 	}
 	if rel == 0 {
 		t.Error("no partitions were reloaded from spill")
 	}
 }
 
-// TestCheckerSpillsAndReloads: same contract for the sorted-index backend.
+// TestCheckerSpillsAndReloads: the cache spills only when EvictToSpill asks
+// it to — a long workload under an attached manager writes no segment — and
+// repeated evict/reload cycles keep every answer exact.
 func TestCheckerSpillsAndReloads(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	r := randomRelation(rng, 60, 5, 3)
-	mem := NewChecker(r, 1024)
-	spilled := NewChecker(r, 2)
-	spilled.SetSpill(newTestSpill(t))
+	mem := NewPartitionChecker(r)
+	spilled := NewPartitionChecker(r)
+	sm := newTestSpill(t)
+	spilled.SetSpill(sm)
 
-	for pass := 0; pass < 2; pass++ {
+	for cycle := 0; cycle < 3; cycle++ {
 		rng2 := rand.New(rand.NewSource(7))
 		for i := 0; i < 60; i++ {
 			x, y := randomList(rng2, 5, 2), randomList(rng2, 5, 2)
 			if got, want := spilled.CheckOD(x, y), mem.CheckOD(x, y); got != want {
-				t.Fatalf("pass %d check %d: CheckOD = %v, want %v", pass, i, got, want)
+				t.Fatalf("cycle %d check %d: CheckOD = %v, want %v", cycle, i, got, want)
 			}
 			if got, want := spilled.CheckOCD(x, y), mem.CheckOCD(x, y); got != want {
-				t.Fatalf("pass %d check %d: CheckOCD = %v, want %v", pass, i, got, want)
+				t.Fatalf("cycle %d check %d: CheckOCD = %v, want %v", cycle, i, got, want)
 			}
 		}
+		if cycle == 0 {
+			if ev, _ := spilled.SpillStats(); ev != 0 || sm.Len() != 0 {
+				t.Fatalf("%d evictions, %d segments before any EvictToSpill", ev, sm.Len())
+			}
+		}
+		spilled.EvictToSpill()
 	}
 	ev, rel := spilled.SpillStats()
 	if ev == 0 || rel == 0 {
@@ -169,7 +156,7 @@ func TestCheckerSpillsAndReloads(t *testing.T) {
 func TestEvictToSpill(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	r := randomRelation(rng, 40, 4, 3)
-	c := NewPartitionChecker(r, 64)
+	c := NewPartitionChecker(r)
 	sm := newTestSpill(t)
 	c.SetSpill(sm)
 
@@ -184,11 +171,11 @@ func TestEvictToSpill(t *testing.T) {
 	if n == 0 {
 		t.Fatal("EvictToSpill moved nothing despite a warm cache")
 	}
-	if sm.Len() == 0 {
-		t.Fatal("no segments on disk after EvictToSpill")
+	if sm.Len() != n {
+		t.Fatalf("%d segments on disk after EvictToSpill reported %d", sm.Len(), n)
 	}
 	// Checks after a full eviction reload from disk and stay exact.
-	mem := NewPartitionChecker(r, 64)
+	mem := NewPartitionChecker(r)
 	for i, x := range lists {
 		for j, y := range lists {
 			if got, want := c.CheckOD(x, y), mem.CheckOD(x, y); got != want {
@@ -202,35 +189,38 @@ func TestEvictToSpill(t *testing.T) {
 	}
 
 	// Without a manager the rung reports no progress.
-	bare := NewPartitionChecker(r, 64)
+	bare := NewPartitionChecker(r)
 	bare.Partition(lists[0])
 	if n := bare.EvictToSpill(); n != 0 {
 		t.Errorf("EvictToSpill without a manager = %d, want 0", n)
 	}
 }
 
-// TestCheckerEvictToSpill mirrors TestEvictToSpill for the index backend.
+// TestCheckerEvictToSpill: partitions reloaded from disk are identical to
+// freshly derived ones, order and class boundaries alike.
 func TestCheckerEvictToSpill(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	r := randomRelation(rng, 40, 4, 3)
-	c := NewChecker(r, 64)
+	c := NewPartitionChecker(r)
 	c.SetSpill(newTestSpill(t))
 	lists := make([]attr.List, 0, 8)
 	for i := 0; i < 8; i++ {
 		x := randomList(rng, 4, 2)
 		lists = append(lists, x)
-		c.SortedIndex(x)
+		c.Partition(x)
 	}
 	if n := c.EvictToSpill(); n == 0 {
 		t.Fatal("EvictToSpill moved nothing despite a warm cache")
 	}
-	mem := NewChecker(r, 64)
+	mem := NewPartitionChecker(r)
 	for i, x := range lists {
-		idx := c.SortedIndex(x)
-		want := mem.SortedIndex(x)
-		for j := range want {
-			if idx[j] != want[j] {
-				t.Fatalf("list %d: reloaded index differs at %d", i, j)
+		got, want := c.Partition(x), mem.Partition(x)
+		if len(got.Ends) != len(want.Ends) {
+			t.Fatalf("list %d: %d classes after reload, want %d", i, len(got.Ends), len(want.Ends))
+		}
+		for j := range want.Idx {
+			if got.Idx[j] != want.Idx[j] {
+				t.Fatalf("list %d: reloaded partition differs at %d", i, j)
 			}
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ocd/internal/attr"
+	"ocd/internal/obs"
 	"ocd/internal/relation"
 )
 
@@ -23,21 +24,27 @@ func stopRelation(t *testing.T, rows int) *relation.Relation {
 	return r
 }
 
-// TestCheckerStopAborts: with the stop flag raised, every check reports
-// invalid conservatively, index builds return nil, and nothing partial is
-// cached — clearing the flag restores correct answers from scratch.
+// TestCheckerStopAborts: a stop raised after the single-column partitions
+// are cached still aborts every multi-column derivation and scan — checks
+// report invalid conservatively and Partition returns nil — and clearing
+// the flag restores correct answers, so no aborted scratch state leaks into
+// later checks.
 func TestCheckerStopAborts(t *testing.T) {
 	r := stopRelation(t, 5000)
-	c := NewChecker(r, 16)
+	c := NewPartitionChecker(r)
 	var stop atomic.Bool
 	c.SetStopFlag(&stop)
 	x, y := attr.NewList(0), attr.NewList(1)
+	if !c.CheckOD(x, y) {
+		t.Fatal("A -> B must hold")
+	}
+	c.CheckOD(attr.NewList(2), y) // caches C's partition too
 
 	stop.Store(true)
-	if c.SortedIndex(attr.NewList(0, 1)) != nil {
-		t.Error("aborted SortedIndex must return nil")
+	if c.Partition(attr.NewList(1, 2)) != nil {
+		t.Error("aborted Partition must return nil")
 	}
-	if c.CheckOCD(x, y) {
+	if c.CheckOCD(y, attr.NewList(2)) {
 		t.Error("aborted CheckOCD must report invalid")
 	}
 	if c.CheckOD(x, y) {
@@ -47,7 +54,6 @@ func TestCheckerStopAborts(t *testing.T) {
 		t.Errorf("aborted CheckODFull must report both violation kinds, got %+v", res)
 	}
 
-	// Nothing garbage was cached: the same checks now give true answers.
 	stop.Store(false)
 	if !c.CheckOD(x, y) {
 		t.Error("A -> B (B = A/3) must hold once the stop flag clears")
@@ -55,52 +61,18 @@ func TestCheckerStopAborts(t *testing.T) {
 	if !c.CheckOCD(x, y) {
 		t.Error("A ~ B must hold once the stop flag clears")
 	}
-}
-
-// TestSortAbortsMidComparison: the comparison-sort path polls the flag from
-// inside the sort.Slice comparator, so a pre-raised stop aborts a large sort
-// without finishing it.
-func TestSortAbortsMidComparison(t *testing.T) {
-	rows := 20000
-	idx := make([]int32, rows)
-	col := make([]int32, rows)
-	rng := rand.New(rand.NewSource(37))
-	for i := range idx {
-		idx[i] = int32(i)
-		col[i] = int32(rng.Intn(rows))
-	}
-	var stop atomic.Bool
-	stop.Store(true)
-	if sortIdxByColsStop(idx, [][]int32{col}, &stop) {
-		t.Fatal("sort must abort when the stop flag is raised")
-	}
-	// Nil flag sorts normally.
-	if !sortIdxByColsStop(idx, [][]int32{col}, nil) {
-		t.Fatal("nil stop flag must never abort")
-	}
-	for i := 1; i < rows; i++ {
-		if col[idx[i-1]] > col[idx[i]] {
-			t.Fatal("completed sort is not ordered")
-		}
-	}
-}
-
-// TestRadixAborts: the counting-sort builder honors the flag between and
-// inside its passes.
-func TestRadixAborts(t *testing.T) {
-	r := stopRelation(t, 5000)
-	var stop atomic.Bool
-	stop.Store(true)
-	if idx, ok := buildIndexRadix(r, attr.NewList(0, 1), &stop); ok || idx != nil {
-		t.Fatal("radix build must abort on a raised stop flag")
+	z := attr.NewList(2)
+	if got, want := c.CheckOCD(y, z), NewPartitionChecker(r).CheckOCD(y, z); got != want {
+		t.Errorf("B ~ C = %v after the stop cleared, a fresh checker says %v", got, want)
 	}
 }
 
 // TestPartitionCheckerStopAborts mirrors TestCheckerStopAborts on the
-// sorted-partition backend, including that no partial partition is cached.
+// checker with a cold cache: the very first single-column derivation aborts,
+// and no partial partition is cached.
 func TestPartitionCheckerStopAborts(t *testing.T) {
 	r := stopRelation(t, 3000)
-	c := NewPartitionChecker(r, 16)
+	c := NewPartitionChecker(r)
 	var stop atomic.Bool
 	c.SetStopFlag(&stop)
 	x, y := attr.NewList(0), attr.NewList(1)
@@ -122,34 +94,28 @@ func TestPartitionCheckerStopAborts(t *testing.T) {
 	}
 }
 
-// TestReleaseMemoryKeepsCheckersUsable: dropping the caches must not change
-// any answer, only force rebuilds (visible via the sort counter).
+// TestReleaseMemoryKeepsCheckersUsable: dropping the cache must not change
+// any answer, only force re-derivations (visible as cache misses).
 func TestReleaseMemoryKeepsCheckersUsable(t *testing.T) {
 	r := stopRelation(t, 2000)
 	x, y := attr.NewList(0), attr.NewList(1)
+	reg := obs.NewRegistry()
+	misses := func() int64 { return reg.Snapshot().Counters["order.partition_cache.misses"] }
 
-	c := NewChecker(r, 16)
+	c := NewPartitionChecker(r)
+	c.SetObs(reg)
 	if !c.CheckOD(x, y) {
 		t.Fatal("A -> B must hold")
 	}
-	sortsBefore := c.Sorts()
-	if c.CheckOD(x, y); c.Sorts() != sortsBefore {
+	before := misses()
+	if c.CheckOD(x, y); misses() != before {
 		t.Fatal("second check must hit the cache")
 	}
 	c.ReleaseMemory()
-	if !c.CheckOD(x, y) {
-		t.Fatal("A -> B must still hold after ReleaseMemory")
+	if !c.CheckOD(x, y) || !c.CheckOCD(x, y) {
+		t.Fatal("checks must still hold after ReleaseMemory")
 	}
-	if c.Sorts() == sortsBefore {
-		t.Fatal("ReleaseMemory must force an index rebuild")
-	}
-
-	p := NewPartitionChecker(r, 16)
-	if !p.CheckOD(x, y) {
-		t.Fatal("A -> B must hold on the partition backend")
-	}
-	p.ReleaseMemory()
-	if !p.CheckOD(x, y) || !p.CheckOCD(x, y) {
-		t.Fatal("partition checks must still hold after ReleaseMemory")
+	if misses() == before {
+		t.Fatal("ReleaseMemory must force a re-derivation")
 	}
 }

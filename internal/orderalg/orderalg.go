@@ -48,12 +48,6 @@ type Options struct {
 	// MaxCandidates bounds the total number of generated candidates
 	// (0 = none).
 	MaxCandidates int64
-	// IndexCacheSize bounds the sorted-index cache (0 = default 64).
-	IndexCacheSize int
-	// UseSortedPartitions selects the incrementally derived sorted-
-	// partition backend, the structure the original ORDER implementation
-	// used; results are identical.
-	UseSortedPartitions bool
 }
 
 // Result is the output of a run.
@@ -69,19 +63,9 @@ type Result struct {
 // Discover runs ORDER over the relation and returns all discovered ODs with
 // disjoint sides.
 func Discover(r *relation.Relation, opts Options) *Result {
-	cacheSize := opts.IndexCacheSize
-	if cacheSize == 0 {
-		cacheSize = 64
-	}
-	var chk interface {
-		CheckODFull(x, y attr.List) order.ODResult
-		Checks() int64
-	}
-	if opts.UseSortedPartitions {
-		chk = order.NewPartitionChecker(r, cacheSize)
-	} else {
-		chk = order.NewChecker(r, cacheSize)
-	}
+	// Sorted partitions are the structure the original ORDER
+	// implementation checks candidates with.
+	chk := order.NewPartitionChecker(r)
 	res := &Result{}
 	start := time.Now()
 	var deadline time.Time

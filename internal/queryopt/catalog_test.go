@@ -112,7 +112,7 @@ func TestCatalogSoundOnInstances(t *testing.T) {
 		r := relation.FromInts("rand", nil, rows)
 		res := core.Discover(r, core.Options{Workers: 1})
 		opt := NewCatalog(catalogOf(res))
-		chk := order.NewChecker(r, 8)
+		chk := order.NewPartitionChecker(r)
 		var cols attr.List
 		for _, p := range rng.Perm(nc)[:1+rng.Intn(nc)] {
 			cols = append(cols, attr.ID(p))

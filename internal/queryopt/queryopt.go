@@ -24,12 +24,12 @@ import (
 // valid on the instance.
 type Optimizer struct {
 	r   *relation.Relation
-	chk *order.Checker
+	chk *order.PartitionChecker
 }
 
 // New returns an optimizer for the relation.
 func New(r *relation.Relation) *Optimizer {
-	return &Optimizer{r: r, chk: order.NewChecker(r, 32)}
+	return &Optimizer{r: r, chk: order.NewPartitionChecker(r)}
 }
 
 // Simplify returns the shortest prefix P of cols such that ordering by P

@@ -67,7 +67,7 @@ func TestPartialSimplification(t *testing.T) {
 	if len(simplified)+dropped != 3 {
 		t.Errorf("Simplify bookkeeping wrong: %v + %d", simplified, dropped)
 	}
-	chk := order.NewChecker(r, 8)
+	chk := order.NewPartitionChecker(r)
 	if !chk.CheckOD(simplified, attr.NewList(income, savings, bracket)) {
 		t.Error("simplified prefix does not imply the original ordering")
 	}
@@ -147,7 +147,7 @@ func TestQuickSimplifySound(t *testing.T) {
 		if dropped != len(cols)-len(simplified) {
 			t.Fatalf("trial %d: dropped count wrong", trial)
 		}
-		chk := order.NewChecker(r, 8)
+		chk := order.NewPartitionChecker(r)
 		if !chk.CheckOD(simplified, cols) {
 			t.Fatalf("trial %d: %v does not order %v", trial, simplified, cols)
 		}

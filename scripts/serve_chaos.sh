@@ -125,9 +125,9 @@ go build -tags=faultinject -o "$tmp/ocdserve" ./cmd/ocdserve
 go build -o "$tmp/datagen" ./cmd/datagen
 
 "$tmp/datagen" -dataset taxinfo -out "$tmp/tax.csv" >/dev/null
-# Large enough to run for seconds at one worker: the crash lands mid-run
-# with submissions still queued, and the drain signal lands mid-level.
-"$tmp/datagen" -dataset flight -rows 1000 -cols 50 -out "$tmp/flight50.csv" >/dev/null
+# Large enough to run for seconds: the crash lands mid-run with
+# submissions still queued, and the drain signal lands mid-level.
+"$tmp/datagen" -dataset flight -rows 3000 -cols 50 -out "$tmp/flight50.csv" >/dev/null
 
 step "baseline: uninterrupted server run"
 start_server baseline "$tmp/base" ""
@@ -137,14 +137,15 @@ wait_job "$flight_id" completed
 wait_job "$tax_id" completed
 curl -sS "$BASE/jobs/$flight_id/result" >"$tmp/flight_base.json"
 curl -sS "$BASE/jobs/$tax_id/result" >"$tmp/tax_base.json"
-# The crash below exits at the third level barrier; the dataset must go
-# deeper than that or the kill never fires mid-run.
+# The crash below exits at the fourth level barrier, late enough that the
+# queued submissions land first; the dataset must go deeper than that or
+# the kill never fires mid-run.
 levels=$(jq -r .levels "$tmp/flight_base.json")
-[ "$levels" -ge 3 ] || fail "flight50 traversal has only $levels levels; the level-3 kill cannot fire"
+[ "$levels" -ge 4 ] || fail "flight50 traversal has only $levels levels; the level-4 kill cannot fire"
 stop_server 0
 
-step "kill mid-job (OCD_FAULT=core.level.start:exit:3) with work queued"
-start_server crash "$tmp/chaos" "core.level.start:exit:3"
+step "kill mid-job (OCD_FAULT=core.level.start:exit:4) with work queued"
+start_server crash "$tmp/chaos" "core.level.start:exit:4"
 flight_id=$(submit flight50 "$tmp/flight50.csv")
 tax_id=$(submit tax "$tmp/tax.csv")
 poison_id=$(submit poison "$tmp/tax.csv")
