@@ -289,8 +289,9 @@ func BenchmarkAblation_ColumnReduction(b *testing.B) {
 }
 
 // BenchmarkAblation_CheckPrimitives compares the checking primitives on a
-// large relation: the early-exit OCD check (which derives the partition of
-// XY from X's cached one), the exhaustive classifying OD check, and a bare
+// large relation: the early-exit OCD check (one scan over X's cached
+// partition reading Y's rank codes, no derivation), the exhaustive
+// classifying OD check (the same scan run to the end), and a bare
 // two-column partition derivation copied out for the caller.
 func BenchmarkAblation_CheckPrimitives(b *testing.B) {
 	load()

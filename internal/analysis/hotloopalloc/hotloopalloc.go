@@ -1,9 +1,9 @@
 // Package hotloopalloc flags per-iteration allocations inside loops of
 // functions marked // lint:hot.
 //
-// The candidate checks (PartitionChecker.CheckOCD / CheckOD), the sorted
-// partition derivation and the partition product run once per candidate
-// over millions of rows; a time.Now(), fmt.Sprintf
+// The candidate scan (PartitionChecker.scan), the sorted partition and
+// side derivation and the partition product run once per candidate over
+// millions of rows; a time.Now(), fmt.Sprintf
 // or map/slice literal inside their loops turns into per-row garbage
 // and scheduler pressure. The marker is opt-in: annotate a function's
 // doc comment with // lint:hot and the analyzer reports, inside any

@@ -14,8 +14,9 @@
 //  2. held — a blocking or expensive operation executes while a mutex
 //     may be held: channel send/receive, (*sync.WaitGroup).Wait,
 //     time.Sleep, any sort.* call, or the module's partition
-//     derivation helpers (Extend, extendInto, derive, Partition). These
-//     serialize all workers behind one cache probe.
+//     derivation helpers (Extend, extendInto, derive, Partition,
+//     DeriveSide, ExtendSide). These serialize all workers behind one
+//     cache probe.
 //
 // It also flags re-locking a mutex that is already held on every
 // incoming path (self-deadlock). Suppress a deliberate site with
@@ -298,7 +299,7 @@ func (fc *funcCheck) expensiveCall(call *ast.CallExpr) (string, bool) {
 	// Module-local derivation helpers: a partition derivation is O(rows)
 	// per attribute and must never run inside a cache critical section.
 	switch fn.Name() {
-	case "Extend", "extendInto", "derive", "Partition":
+	case "Extend", "extendInto", "derive", "Partition", "DeriveSide", "ExtendSide":
 		if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
 			return "partition derivation " + fn.Name(), true
 		}

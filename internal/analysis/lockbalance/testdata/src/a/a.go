@@ -129,10 +129,14 @@ func SleepWhileLocked(c *cache) {
 // partitions mimics the checker's derivation helpers.
 type partitions struct{ idx []int32 }
 
-func (p *partitions) Extend(a int) *partitions                { return p }
-func (p *partitions) extendInto(out *partitions, a int) bool  { return true }
-func (p *partitions) derive(x, y []int) (*partitions, *cache) { return p, nil }
-func (p *partitions) Partition(x []int) *partitions           { return p }
+func (p *partitions) Extend(a int) *partitions                 { return p }
+func (p *partitions) extendInto(out *partitions, a int) bool   { return true }
+func (p *partitions) derive(x, y []int) (*partitions, *cache)  { return p, nil }
+func (p *partitions) Partition(x []int) *partitions            { return p }
+func (p *partitions) DeriveSide(x []int) (*partitions, *cache) { return p, nil }
+func (p *partitions) ExtendSide(q *partitions, a int) (*partitions, *cache) {
+	return q, nil
+}
 
 // DeriveWhileLocked runs every partition derivation helper with the mutex
 // held.
@@ -143,6 +147,15 @@ func DeriveWhileLocked(c *cache, p *partitions) {
 	p.derive(nil, nil) // want `partition derivation derive while c\.mu is held`
 	p.Partition(nil)   // want `partition derivation Partition while c\.mu is held`
 	c.mu.Unlock()
+}
+
+// DeriveSideWhileLocked derives the sides of a candidate with the mutex
+// held.
+func DeriveSideWhileLocked(c *cache, p *partitions) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	parent, _ := p.DeriveSide(nil) // want `partition derivation DeriveSide while c\.mu is held`
+	p.ExtendSide(parent, 1)        // want `partition derivation ExtendSide while c\.mu is held`
 }
 
 // DeriveOutsideLock probes under the lock and derives after it: no finding.

@@ -187,14 +187,17 @@ func (d *discoverer) watch(ctx context.Context, timerC <-chan time.Time, stop <-
 
 // overMemoryBudget implements the soft memory budget at a level boundary as
 // a degradation ladder: over budget → spill the checker caches to disk
-// (rung 1, only with a SpillDir) → release whatever remains in memory and
-// force a GC (rung 2) → truncate (rung 3) only when the heap is still over
-// budget AND spilling made no progress. A working spill directory therefore
-// keeps a budgeted run alive out-of-core: every boundary that manages to
-// move at least one cache entry to disk earns the run its next level, and
-// TruncateMemoryBudget stays unreachable until the spill path itself is
-// exhausted (no manager, nothing cached, or every write failed).
-func (d *discoverer) overMemoryBudget() bool {
+// (rung 1, only with a SpillDir) → release whatever remains in memory,
+// drop the frontier's carried sides and force a GC (rung 2) → truncate
+// (rung 3) only when the heap is still over budget AND spilling made no
+// progress. A working spill directory therefore keeps a budgeted run alive
+// out-of-core: every boundary that manages to move at least one cache
+// entry to disk earns the run its next level, and TruncateMemoryBudget
+// stays unreachable until the spill path itself is exhausted (no manager,
+// nothing cached, or every write failed). A level whose sides were
+// dropped re-derives them from the column cache, which refills the cache
+// for the next boundary's rung 1.
+func (d *discoverer) overMemoryBudget(level *frontier) bool {
 	if d.opts.MaxMemoryBytes <= 0 {
 		return false
 	}
@@ -205,6 +208,7 @@ func (d *discoverer) overMemoryBudget() bool {
 	}
 	evicted := d.chk.EvictToSpill()
 	d.chk.ReleaseMemory()
+	level.dropSides()
 	d.res.Stats.MemoryReleases++
 	runtime.GC()
 	runtime.ReadMemStats(&ms)
@@ -214,11 +218,72 @@ func (d *discoverer) overMemoryBudget() bool {
 	return evicted == 0
 }
 
+// frontier is one BFS level: its candidates and, when they carry sides,
+// for each candidate a reference into the side table of the previous
+// level's valid parents. refs is nil when the candidates carry no sides —
+// level 2, a frontier restored by resume, or a level whose sides a tripped
+// memory budget dropped — and each candidate then derives both of its
+// sides from the column cache.
+type frontier struct {
+	cands []attr.Pair
+	refs  []sideRef
+	sides []sidePair
+}
+
+// sidePair holds a valid candidate's two sides for its children.
+type sidePair struct{ x, y *order.Side }
+
+// sideRef locates a child's parent in the side table: the parent's index
+// shifted left by one, with the low bit set when the child extended the
+// parent's Y side rather than its X side. Four bytes per candidate keep
+// the frontier compact.
+type sideRef uint32
+
+// extendedY marks a child that extended its parent's Y side.
+const extendedY sideRef = 1
+
+func newSideRef(parent int, y bool) sideRef {
+	ref := sideRef(parent) << 1
+	if y {
+		ref |= extendedY
+	}
+	return ref
+}
+
+// dropSides forgets the carried sides; the candidates then derive theirs
+// from the column cache.
+func (f *frontier) dropSides() { f.refs, f.sides = nil, nil }
+
+// parent is a valid candidate that generates children: the children
+// extend X and/or Y by each attribute of free, and carry the parent's
+// sides. Workers record parents, not children, so the merge materializes
+// the next level exactly sized.
+type parent struct {
+	pair             attr.Pair
+	sides            sidePair
+	free             []attr.ID
+	extendX, extendY bool
+}
+
+// children returns how many candidates p generates.
+func (p *parent) children() int {
+	n := 0
+	if p.extendX {
+		n += len(p.free)
+	}
+	if p.extendY {
+		n += len(p.free)
+	}
+	return n
+}
+
 // workerOut accumulates one worker's emissions for a level.
 type workerOut struct {
-	ocds []OCD
-	ods  []OD
-	next []attr.Pair
+	ocds    []OCD
+	ods     []OD
+	parents []parent
+	// generated counts the children of parents.
+	generated int
 	// current is the candidate being processed, recorded before each check
 	// so a recovered panic can name it.
 	current attr.Pair
@@ -280,11 +345,11 @@ func (d *discoverer) run(ctx context.Context) (*Result, error) {
 		d.requestStop(reason, true)
 	}
 
-	var level []attr.Pair
+	var level frontier
 	levelNo := 2
 	if d.opts.Resume != nil {
 		// ---- Resume: rebuild state from the verified snapshot ----
-		level, levelNo = d.restoreFromSnapshot(d.opts.Resume, res)
+		level.cands, levelNo = d.restoreFromSnapshot(d.opts.Resume, res)
 	} else {
 		// ---- Column reduction (Section 4.1) ----
 		if d.opts.DisableColumnReduction {
@@ -305,12 +370,12 @@ func (d *discoverer) run(ctx context.Context) (*Result, error) {
 		// ---- Initial candidates: all unordered single-attribute pairs ----
 		for i := 0; i < len(d.reduced); i++ {
 			for j := i + 1; j < len(d.reduced); j++ {
-				level = append(level, attr.NewPair(
+				level.cands = append(level.cands, attr.NewPair(
 					attr.Singleton(d.reduced[i]), attr.Singleton(d.reduced[j])))
 			}
 		}
-		res.Stats.Candidates = int64(len(level))
-		d.generated.Store(int64(len(level)))
+		res.Stats.Candidates = int64(len(level.cands))
+		d.generated.Store(int64(len(level.cands)))
 	}
 	// The initial frontier is itself a consistent cut — a run killed during
 	// its first level resumes from here rather than re-running reduction.
@@ -319,13 +384,13 @@ func (d *discoverer) run(ctx context.Context) (*Result, error) {
 	// must not become durable, so the barrier stays invalid and nothing is
 	// snapshotted.
 	if d.reason() == TruncateNone || d.opts.Resume != nil {
-		d.noteBarrier(level, levelNo, res)
+		d.noteBarrier(level.cands, levelNo, res)
 	}
 
 	// ---- Main BFS loop (Algorithm 1, lines 5–14) ----
 	var errs []error
 	levelsDone := 0
-	for len(level) > 0 {
+	for len(level.cands) > 0 {
 		if d.opts.MaxLevel > 0 && levelNo > d.opts.MaxLevel {
 			res.truncate(TruncateMaxLevel)
 			break
@@ -338,16 +403,16 @@ func (d *discoverer) run(ctx context.Context) (*Result, error) {
 			res.truncate(TruncateTimeout)
 			break
 		}
-		if d.overMemoryBudget() {
+		if d.overMemoryBudget(&level) {
 			res.truncate(TruncateMemoryBudget)
 			break
 		}
 		faultinject.Point("core.level.start")
-		d.ro.levelStart(d, res, levelNo, len(level))
-		next, complete, lerr := d.processLevel(level, d.reduced, res)
+		d.ro.levelStart(d, res, levelNo, len(level.cands))
+		next, complete, lerr := d.processLevel(&level, d.reduced, res)
 		res.Stats.Levels++
-		res.Stats.Candidates += int64(len(next))
-		d.ro.levelEnd(d, res, len(next))
+		res.Stats.Candidates += int64(len(next.cands))
+		d.ro.levelEnd(d, res, len(next.cands))
 		if lerr != nil {
 			errs = append(errs, lerr)
 			res.truncate(TruncateWorkerPanic)
@@ -378,8 +443,8 @@ func (d *discoverer) run(ctx context.Context) (*Result, error) {
 		// final writeCheckpoint below persists the previous barrier
 		// otherwise, and resume re-runs the interrupted level from scratch.
 		levelsDone++
-		d.noteBarrier(level, levelNo, res)
-		if len(level) > 0 && d.checkpointDue(levelsDone) {
+		d.noteBarrier(level.cands, levelNo, res)
+		if len(level.cands) > 0 && d.checkpointDue(levelsDone) {
 			d.writeCheckpoint(res)
 		}
 	}
@@ -413,7 +478,7 @@ func (d *discoverer) run(ctx context.Context) (*Result, error) {
 // panicking worker never breaks the level barrier: its recover runs before
 // wg.Done, the remaining workers drain normally, and their completed output
 // is still merged.
-func (d *discoverer) processLevel(level []attr.Pair, reduced []attr.ID, res *Result) ([]attr.Pair, bool, error) {
+func (d *discoverer) processLevel(level *frontier, reduced []attr.ID, res *Result) (frontier, bool, error) {
 	outs := make([]workerOut, d.workers)
 	if d.workers == 1 {
 		sp, t0 := d.ro.workerStart(0)
@@ -432,13 +497,35 @@ func (d *discoverer) processLevel(level []attr.Pair, reduced []attr.ID, res *Res
 		}
 		wg.Wait()
 	}
+	// The level is checked: its parents' sides may go before the merge
+	// allocates the next frontier, except those the kept sides share.
+	level.dropSides()
 
-	// Merge worker outputs; de-duplicate next-level candidates, which can
-	// be generated by two different parents (dropping the last attribute
-	// of either side of a candidate gives a valid parent).
+	// Merge worker outputs and generate the next level from the parents,
+	// in worker order, sized up front. De-duplicate the children, which
+	// can be generated by two different parents (dropping the last
+	// attribute of either side of a candidate gives a valid parent);
+	// whichever parent comes first supplies the child's sides.
+	n, nParents := 0, 0
+	for i := range outs {
+		n += outs[i].generated
+		nParents += len(outs[i].parents)
+	}
+	next := frontier{
+		cands: make([]attr.Pair, 0, n),
+		refs:  make([]sideRef, 0, n),
+		sides: make([]sidePair, 0, nParents),
+	}
+	seen := make(map[string]struct{}, n)
+	add := func(c attr.Pair, ref sideRef) {
+		key := c.UnorderedKey()
+		if _, dup := seen[key]; !dup {
+			seen[key] = struct{}{}
+			next.cands = append(next.cands, c)
+			next.refs = append(next.refs, ref)
+		}
+	}
 	var errs []error
-	seen := make(map[string]struct{})
-	var next []attr.Pair
 	complete := true
 	for i := range outs {
 		res.OCDs = append(res.OCDs, outs[i].ocds...)
@@ -449,11 +536,18 @@ func (d *discoverer) processLevel(level []attr.Pair, reduced []attr.ID, res *Res
 		if outs[i].stopped {
 			complete = false
 		}
-		for _, p := range outs[i].next {
-			k := p.UnorderedKey()
-			if _, dup := seen[k]; !dup {
-				seen[k] = struct{}{}
-				next = append(next, p)
+		for _, p := range outs[i].parents {
+			k := len(next.sides)
+			next.sides = append(next.sides, p.sides)
+			if p.extendX {
+				for _, a := range p.free {
+					add(attr.NewPair(p.pair.X.Append(a), p.pair.Y), newSideRef(k, false))
+				}
+			}
+			if p.extendY {
+				for _, a := range p.free {
+					add(attr.NewPair(p.pair.X, p.pair.Y.Append(a)), newSideRef(k, true))
+				}
 			}
 		}
 	}
@@ -470,7 +564,7 @@ func (d *discoverer) processLevel(level []attr.Pair, reduced []attr.ID, res *Res
 // (candidate processing, the checker, its cache) converts into a
 // *PanicError naming the candidate, requests a hard stop so sibling workers
 // bail quickly, and leaves the worker's completed output intact.
-func (d *discoverer) runWorker(level []attr.Pair, from, stride int, reduced []attr.ID, out *workerOut) {
+func (d *discoverer) runWorker(level *frontier, from, stride int, reduced []attr.ID, out *workerOut) {
 	defer func() {
 		if v := recover(); v != nil {
 			out.err = &PanicError{Candidate: out.current, Value: v, Stack: debug.Stack()}
@@ -481,38 +575,89 @@ func (d *discoverer) runWorker(level []attr.Pair, from, stride int, reduced []at
 	d.processRange(level, from, stride, reduced, out)
 }
 
-// processRange handles candidates level[from], level[from+stride], … .
-func (d *discoverer) processRange(level []attr.Pair, from, stride int, reduced []attr.ID, out *workerOut) {
-	for i := from; i < len(level); i += stride {
+// processRange handles candidates level.cands[from], [from+stride], … .
+func (d *discoverer) processRange(level *frontier, from, stride int, reduced []attr.ID, out *workerOut) {
+	for i := from; i < len(level.cands); i += stride {
 		if d.reason() != TruncateNone || d.overBudget() {
 			out.stopped = true
 			return
 		}
-		out.current = level[i]
+		out.current = level.cands[i]
 		faultinject.Point("core.worker.candidate")
-		before := len(out.next)
-		d.processCandidate(level[i], reduced, out)
-		d.generated.Add(int64(len(out.next) - before))
+		before := out.generated
+		d.processCandidate(level, i, reduced, out)
+		d.generated.Add(int64(out.generated - before))
 		d.ro.candidateDone(d)
 	}
 }
 
 // processCandidate implements the per-candidate work of Algorithm 1 line 8
-// plus generateNextLevel (Algorithm 3).
-func (d *discoverer) processCandidate(p attr.Pair, reduced []attr.ID, out *workerOut) {
-	// Single check of Theorem 4.1: X ~ Y iff the OD XY → YX holds.
+// plus generateNextLevel (Algorithm 3) for level.cands[i].
+func (d *discoverer) processCandidate(level *frontier, i int, reduced []attr.ID, out *workerOut) {
+	p := level.cands[i]
+	chk := d.chk
+	// Single check of Theorem 4.1: X ~ Y iff no swap between X and Y. A
+	// candidate with a carried parent derives only the side it extended —
+	// one counting-sort pass — and scans it against the other side's ranks;
+	// one without derives both sides from the column cache.
 	t0 := d.ro.checkStart()
-	ok := d.chk.CheckOCD(p.X, p.Y)
+	var xs, ys *order.Side
+	var sx, sy *order.Scratch
+	var ok bool
+	if level.refs != nil {
+		ref := level.refs[i]
+		up := level.sides[ref>>1]
+		if ref&extendedY == 0 {
+			xs, sx = chk.ExtendSide(up.x, p.X[len(p.X)-1])
+			ys = up.y
+			ok = chk.CheckOCDSides(xs, ys)
+		} else {
+			xs = up.x
+			ys, sy = chk.ExtendSide(up.y, p.Y[len(p.Y)-1])
+			ok = chk.CheckOCDSides(ys, xs)
+		}
+	} else {
+		xs, sx = chk.DeriveSide(p.X)
+		ys, sy = chk.DeriveSide(p.Y)
+		ok = chk.CheckOCDSides(xs, ys)
+	}
 	d.ro.checkDone(t0)
 	if !ok {
 		// Invalid candidate: Theorem 3.7 prunes the whole subtree. (A
 		// hard-stopped check also lands here: conservatively invalid, so a
 		// partially checked candidate is never emitted.)
+		chk.Release(sx)
+		chk.Release(sy)
 		d.ro.prune()
 		return
 	}
 	out.ocds = append(out.ocds, OCD{X: p.X, Y: p.Y})
+	// Both sides outlive the scratch: the OD scans below read them, and
+	// the children extend them.
+	xs, ys = chk.Keep(xs, sx), chk.Keep(ys, sy)
 
+	// Left side: extend X only when the OD X → Y does not hold; when it
+	// holds, XA ~ Y is derivable (X → Y gives XA → Y by Reflexivity +
+	// Transitivity, and an OD implies the OCD), so the subtree is
+	// redundant and the OD itself is emitted instead.
+	t0 = d.ro.checkStart()
+	odXY := chk.CheckODSides(xs, ys)
+	d.ro.checkDone(t0)
+	if odXY {
+		out.ods = append(out.ods, OD{X: p.X, Y: p.Y})
+	}
+
+	// Right side, symmetric.
+	t0 = d.ro.checkStart()
+	odYX := chk.CheckODSides(ys, xs)
+	d.ro.checkDone(t0)
+	if odYX {
+		out.ods = append(out.ods, OD{X: p.Y, Y: p.X})
+	}
+
+	if (odXY && odYX) || d.hardStop.Load() {
+		return
+	}
 	// free = U' \ (set(X) ∪ set(Y)) — Algorithm 3, line 2.
 	used := p.X.Set().Union(p.Y.Set())
 	var free []attr.ID
@@ -521,33 +666,14 @@ func (d *discoverer) processCandidate(p attr.Pair, reduced []attr.ID, out *worke
 			free = append(free, a)
 		}
 	}
-
-	// Left side: extend X only when the OD X → Y does not hold; when it
-	// holds, XA ~ Y is derivable (X → Y gives XA → Y by Reflexivity +
-	// Transitivity, and an OD implies the OCD), so the subtree is
-	// redundant and the OD itself is emitted instead.
-	t0 = d.ro.checkStart()
-	odXY := d.chk.CheckOD(p.X, p.Y)
-	d.ro.checkDone(t0)
-	if odXY {
-		out.ods = append(out.ods, OD{X: p.X, Y: p.Y})
-	} else if !d.hardStop.Load() {
-		for _, a := range free {
-			out.next = append(out.next, attr.NewPair(p.X.Append(a), p.Y))
-		}
+	if len(free) == 0 {
+		return
 	}
-
-	// Right side, symmetric.
-	t0 = d.ro.checkStart()
-	odYX := d.chk.CheckOD(p.Y, p.X)
-	d.ro.checkDone(t0)
-	if odYX {
-		out.ods = append(out.ods, OD{X: p.Y, Y: p.X})
-	} else if !d.hardStop.Load() {
-		for _, a := range free {
-			out.next = append(out.next, attr.NewPair(p.X, p.Y.Append(a)))
-		}
-	}
+	out.parents = append(out.parents, parent{
+		pair: p, sides: sidePair{x: xs, y: ys}, free: free,
+		extendX: !odXY, extendY: !odYX,
+	})
+	out.generated += out.parents[len(out.parents)-1].children()
 }
 
 // sortResult orders all output slices canonically so runs are reproducible

@@ -756,8 +756,7 @@ func (m *Manager) finishAttempt(j *Job, out attemptOutcome) {
 	switch {
 	case cause == causeDelete:
 		j.publishDone(StateDeleted, false)
-		m.forget(j)
-		if err := os.RemoveAll(j.dir); err != nil {
+		if err := m.remove(j); err != nil {
 			m.cfg.Logger.Error("delete failed", "job_id", j.id, "error", err)
 		}
 		m.cfg.Logger.Info("job deleted mid-run", "job_id", j.id, "name", name)
@@ -990,10 +989,23 @@ func (m *Manager) get(id string) (*Job, error) {
 	return j, nil
 }
 
-func (m *Manager) forget(j *Job) {
+// testHookBeforeRemove, when non-nil, runs just before a deleted job's
+// directory is removed. Tests use it to observe the job in the window
+// between the two steps of remove.
+var testHookBeforeRemove func(j *Job)
+
+// remove deletes a job's directory and then forgets the job, in that
+// order: once Status reports ErrNotFound the directory is already gone, so
+// a client that polls for the delete never sees a half-deleted job.
+func (m *Manager) remove(j *Job) error {
+	if testHookBeforeRemove != nil {
+		testHookBeforeRemove(j)
+	}
+	err := os.RemoveAll(j.dir)
 	m.mu.Lock()
 	delete(m.jobs, j.id)
 	m.mu.Unlock()
+	return err
 }
 
 // removeFromQueue drops j from the runnable queue if present.
@@ -1096,8 +1108,7 @@ func (m *Manager) Delete(id string) (done bool, err error) {
 	}
 	m.stopRetryTimer(j)
 	m.removeFromQueue(j)
-	m.forget(j)
-	return true, os.RemoveAll(j.dir)
+	return true, m.remove(j)
 }
 
 // Drain stops admissions, cancels running attempts so they checkpoint and

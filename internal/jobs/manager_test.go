@@ -227,6 +227,7 @@ func TestDeleteRunningJob(t *testing.T) {
 		}
 	})
 	m := newTestManager(t, Config{MaxActive: 1})
+	drainAtEnd(t, m)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	m.Start(ctx)
@@ -240,18 +241,95 @@ func TestDeleteRunningJob(t *testing.T) {
 	if done {
 		t.Fatal("running job reported as deleted synchronously")
 	}
+	waitGone(t, m, j.ID())
+}
+
+// TestDeleteRemovesDirBeforeForgetting pins the order of the two delete
+// steps on both paths — Delete on a queued job, and the runner settling a
+// mid-run delete: the job stays visible until its directory is gone, so
+// Status never reports ErrNotFound while the directory is still on disk.
+// The hook runs right before the removal, the window in which forgetting
+// first would already answer ErrNotFound.
+func TestDeleteRemovesDirBeforeForgetting(t *testing.T) {
+	setHook(t, func(ctx context.Context, name string) {
+		if name == "running" {
+			<-ctx.Done()
+		}
+	})
+	m := newTestManager(t, Config{MaxActive: 1})
+	drainAtEnd(t, m)
+	hooked := make(chan string, 2)
+	testHookBeforeRemove = func(j *Job) {
+		if _, err := m.Status(j.ID()); err != nil {
+			t.Errorf("job %s forgotten before its directory was removed: %v", j.ID(), err)
+		}
+		if _, err := os.Stat(j.dir); err != nil {
+			t.Errorf("job %s: directory gone before the removal: %v", j.ID(), err)
+		}
+		hooked <- j.ID()
+	}
+	t.Cleanup(func() { testHookBeforeRemove = nil })
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	m.Start(ctx)
+
+	running := submit(t, m, "running", testCSV(50), JobOptions{})
+	waitState(t, m, running.ID(), StateRunning)
+	queued := submit(t, m, "queued", testCSV(50), JobOptions{})
+	if done, err := m.Delete(queued.ID()); err != nil || !done {
+		t.Fatalf("Delete(queued) = %v, %v; want a synchronous delete", done, err)
+	}
+	if got := <-hooked; got != queued.ID() {
+		t.Fatalf("removal hook saw %s, want %s", got, queued.ID())
+	}
+	if _, err := m.Status(queued.ID()); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Status after a synchronous delete: %v, want ErrNotFound", err)
+	}
+
+	if done, err := m.Delete(running.ID()); err != nil || done {
+		t.Fatalf("Delete(running) = %v, %v; want an asynchronous delete", done, err)
+	}
+	select {
+	case got := <-hooked:
+		if got != running.ID() {
+			t.Fatalf("removal hook saw %s, want %s", got, running.ID())
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the runner never removed the deleted job")
+	}
+	for _, id := range []string{queued.ID(), running.ID()} {
+		waitGone(t, m, id)
+	}
+}
+
+// drainAtEnd drains m when the test ends, so a runner still settling an
+// attempt never logs through t after the test has completed.
+func drainAtEnd(t *testing.T, m *Manager) {
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := m.Drain(ctx); err != nil {
+			t.Error(err)
+		}
+	})
+}
+
+// waitGone waits until Status reports ErrNotFound for id, then asserts
+// that the job directory is already gone at that moment.
+func waitGone(t *testing.T, m *Manager, id string) {
+	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if _, err := m.Status(j.ID()); errors.Is(err, ErrNotFound) {
+		if _, err := m.Status(id); errors.Is(err, ErrNotFound) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("deleted job still present")
+			t.Fatalf("deleted job %s still present", id)
 		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(time.Millisecond)
 	}
-	if _, err := os.Stat(filepath.Join(m.cfg.Dir, j.ID())); !os.IsNotExist(err) {
-		t.Fatalf("job dir still on disk: %v", err)
+	if _, err := os.Stat(filepath.Join(m.cfg.Dir, id)); !os.IsNotExist(err) {
+		t.Fatalf("job %s: Status says not found, but its directory is on disk: %v", id, err)
 	}
 }
 

@@ -2,16 +2,25 @@
 // lists (Definition 2.1) and the validity checks for order dependencies and
 // order compatibility dependencies (Section 4.3 of the paper).
 //
-// Every check runs on a sorted partition of the left-hand side (the
-// technique Section 5.3.1 borrows from ORDER): the rows in ⪯ order with the
-// boundaries of their equivalence classes, derived one attribute at a time
-// by counting-sorting each class (sortedpartition.go). A check scans the
-// classes in order, verifying that the right-hand side never decreases
-// (Algorithm 2's scan without its per-candidate sort). A violating pair is
-// classified as a *split* (equal LHS, differing RHS — a
-// functional-dependency violation) or a *swap* (strictly increasing LHS,
-// strictly decreasing RHS — an order-compatibility violation); an OD holds
-// iff the instance contains neither (Theorem 3.9).
+// Every check runs on *sides* (sortedpartition.go). The side of a list X is
+// its sorted partition — the rows in ⪯ order with the boundaries of their
+// equivalence classes, the technique Section 5.3.1 borrows from ORDER —
+// plus a row→class-rank array, so comparing two rows on X is one int32
+// comparison. A single column's side costs nothing beyond the cached column
+// partition: its ranks are the column's rank codes. A longer list's side is
+// derived one attribute at a time by counting-sorting each class, and the
+// discovery engine derives a candidate's side with one such step from the
+// side its parent carries.
+//
+// One scan answers every check: it walks the classes of one side in ⪯
+// order reading the other side's ranks. A class whose minimum rank is below
+// the running maximum of the earlier classes is a *swap* (X strictly
+// increasing, Y strictly decreasing — an order-compatibility violation); a
+// class whose minimum and maximum ranks differ is a *split* (equal X,
+// different Y — a functional-dependency violation). X ~ Y holds iff there
+// is no swap, whichever side the scan goes over (Theorem 4.1), and X → Y
+// holds iff the scan over X finds neither (Theorem 3.9, "OD = FD + OCD").
+// CompareRows is the pairwise definition itself; no check uses it.
 package order
 
 import (

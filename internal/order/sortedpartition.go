@@ -23,6 +23,10 @@ import (
 // partition of X∘A is obtained from that of X by stably sorting each class
 // by A and splitting it — O(rows) with counting sort, instead of a fresh
 // O(rows·log rows) sort of the whole relation.
+//
+// A Side adds each row's class rank, so comparing two rows on X is one
+// int32 comparison. Every check is then one scan over one side's classes
+// reading the other side's ranks (scan below).
 
 // SortedPartition is a relation's row order under some attribute list with
 // class boundaries.
@@ -37,6 +41,20 @@ type SortedPartition struct {
 
 // NumClasses returns the number of equivalence classes.
 func (sp *SortedPartition) NumClasses() int { return len(sp.Ends) }
+
+// Side is the sorted partition of an attribute list together with a rank
+// for every row that orders rows exactly as the list's ⪯ does: rows of one
+// class share a rank, and earlier classes have smaller ranks. The side of a
+// single column needs no memory of its own: its partition is the cached
+// column partition and its ranks are the column's rank codes. A longer
+// list's ranks are its class indexes. Sides are immutable once built, so
+// the discovery engine shares a parent's side with all of its children.
+type Side struct {
+	SortedPartition
+	// Rank is indexed by row position. It is nil on a side that ExtendSide
+	// left in scratch; Keep fills it.
+	Rank []int32
+}
 
 // Base returns the sorted partition of the empty list: one class with all
 // rows in original order.
@@ -136,6 +154,23 @@ func (sp *SortedPartition) extendInto(out *SortedPartition, codes []int32, stop 
 	return stop == nil || !stop.Load()
 }
 
+// fillRanks writes each row's class index into rank.
+// lint:hot
+func (sp *SortedPartition) fillRanks(rank []int32) {
+	start := int32(0)
+	// lint:allow ctxflow — one O(rows) pass with no early exit, like the copy that precedes it
+	for k, end := range sp.Ends {
+		for _, row := range sp.Idx[start:end] {
+			rank[row] = int32(k)
+		}
+		start = end
+	}
+}
+
+// singletons reports whether every class holds one row, so that extending
+// the list by any attribute leaves the partition unchanged.
+func (sp *SortedPartition) singletons() bool { return len(sp.Ends) == len(sp.Idx) }
+
 // clone returns a deep copy the caller owns.
 func (sp *SortedPartition) clone() *SortedPartition {
 	return &SortedPartition{
@@ -144,26 +179,30 @@ func (sp *SortedPartition) clone() *SortedPartition {
 	}
 }
 
-// scratch holds the two derivation buffers a multi-column check alternates
-// between, plus the counting-sort counters.
-type scratch struct {
-	a, b   SortedPartition
+// Scratch holds one side derived into pooled buffers: the side, the
+// alternate derivation buffer and the counting-sort counters. A side in
+// scratch lives until the scratch goes back to the pool, through Keep or
+// Release.
+type Scratch struct {
+	side   Side
+	alt    SortedPartition
+	rank   []int32
 	counts []int32
 }
 
 // PartitionChecker validates OD and OCD candidates against a fixed relation
-// with sorted partitions. It caches exactly one partition per column — the
-// cache is bounded by the column count and never evicts on its own — and
-// derives every longer list from its first column's partition into pooled
-// scratch buffers that live only for one check. It is safe for concurrent
-// use; the paper's multi-threaded tree traversal (Section 4.2.2) shares one
-// checker across workers.
+// with sorted partitions. It caches exactly one side per column — the cache
+// is bounded by the column count and never evicts on its own — and derives
+// every longer list from its first column's partition into pooled scratch
+// buffers. It is safe for concurrent use; the paper's multi-threaded tree
+// traversal (Section 4.2.2) shares one checker across workers.
 type PartitionChecker struct {
-	r    *relation.Relation
-	base *SortedPartition
-	// single[a] is the sorted partition of [a], nil until first use.
-	single []atomic.Pointer[SortedPartition]
-	// scratch pools *scratch buffers for derivations of longer lists.
+	r *relation.Relation
+	// base is the side of the empty list: one class, every rank zero.
+	base *Side
+	// single[a] is the side of [a], nil until first use.
+	single []atomic.Pointer[Side]
+	// scratch pools *Scratch buffers for derivations of longer lists.
 	scratch sync.Pool
 
 	checks atomic.Int64
@@ -174,11 +213,13 @@ type PartitionChecker struct {
 	// watcher.
 	stop *atomic.Bool
 
-	// obsHits/obsMisses/obsClasses are pre-resolved instrumentation
-	// handles; nil (no-op) unless SetObs attached a registry.
-	obsHits    *obs.Counter
-	obsMisses  *obs.Counter
-	obsClasses *obs.Histogram
+	// obs* are pre-resolved instrumentation handles; nil (no-op) unless
+	// SetObs attached a registry.
+	obsHits        *obs.Counter
+	obsMisses      *obs.Counter
+	obsClasses     *obs.Histogram
+	obsDerived     *obs.Counter
+	obsRowsDerived *obs.Counter
 
 	// sm, when non-nil, gives the cache an out-of-core mode: EvictToSpill
 	// writes the cached partitions to checksummed disk segments and misses
@@ -198,10 +239,10 @@ type PartitionChecker struct {
 func NewPartitionChecker(r *relation.Relation) *PartitionChecker {
 	c := &PartitionChecker{
 		r:      r,
-		base:   Base(r.NumRows()),
-		single: make([]atomic.Pointer[SortedPartition], r.NumCols()),
+		base:   &Side{SortedPartition: *Base(r.NumRows()), Rank: make([]int32, r.NumRows())},
+		single: make([]atomic.Pointer[Side], r.NumCols()),
 	}
-	c.scratch.New = func() any { return new(scratch) }
+	c.scratch.New = func() any { return new(Scratch) }
 	return c
 }
 
@@ -214,13 +255,16 @@ func (c *PartitionChecker) Relation() *relation.Relation { return c.r }
 // answers). Not safe to call concurrently with checks.
 func (c *PartitionChecker) SetStopFlag(stop *atomic.Bool) { c.stop = stop }
 
-// SetObs attaches partition-cache hit/miss counters and the
-// classes-per-partition histogram from the registry (a nil registry
-// resolves to no-op handles). Not safe to call concurrently with checks.
+// SetObs attaches the partition-cache hit/miss counters, the derivation
+// work counters and the classes-per-partition histogram from the registry
+// (a nil registry resolves to no-op handles). Not safe to call concurrently
+// with checks.
 func (c *PartitionChecker) SetObs(reg *obs.Registry) {
 	c.obsHits = reg.Counter("order.partition_cache.hits")
 	c.obsMisses = reg.Counter("order.partition_cache.misses")
 	c.obsClasses = reg.Histogram("order.partition.classes", obs.ExpBounds(1, 4, 16))
+	c.obsDerived = reg.Counter("order.partitions_derived")
+	c.obsRowsDerived = reg.Counter("order.rows_derived")
 	c.obsSpillEvictions = reg.Counter("order.spill.evictions")
 	c.obsSpillReloads = reg.Counter("order.spill.reloads")
 	c.obsSpillRetries = reg.Counter("order.spill.retries")
@@ -231,7 +275,7 @@ func (c *PartitionChecker) SetObs(reg *obs.Registry) {
 // stopped reports whether a cooperative stop has been requested.
 func (c *PartitionChecker) stopped() bool { return c.stop != nil && c.stop.Load() }
 
-// ReleaseMemory drops every cached single-column partition, the degradation
+// ReleaseMemory drops every cached single-column side, the degradation
 // step of the engine's soft memory budget. The checker stays fully usable;
 // later checks re-derive (and re-cache) what they need.
 func (c *PartitionChecker) ReleaseMemory() {
@@ -244,14 +288,26 @@ func (c *PartitionChecker) ReleaseMemory() {
 // "#checks" statistic of Table 6.
 func (c *PartitionChecker) Checks() int64 { return c.checks.Load() }
 
-// column returns the cached sorted partition of [a], deriving it from the
+// extend derives sp∘[a] into dst and counts the derivation. False means a
+// stop aborted it.
+func (c *PartitionChecker) extend(sp, dst *SortedPartition, a attr.ID, counts *[]int32) bool {
+	if !sp.extendInto(dst, c.r.Col(a), c.stop, counts) {
+		return false
+	}
+	c.obsDerived.Inc()
+	c.obsRowsDerived.Add(int64(len(sp.Idx)))
+	c.obsClasses.Observe(int64(dst.NumClasses()))
+	return true
+}
+
+// column returns the cached side of [a], deriving its partition from the
 // base partition (or reloading it from spill) on a miss. nil means a stop
 // aborted the derivation; nothing partial is cached.
-func (c *PartitionChecker) column(a attr.ID) *SortedPartition {
+func (c *PartitionChecker) column(a attr.ID) *Side {
 	slot := &c.single[a]
-	if sp := slot.Load(); sp != nil {
+	if sd := slot.Load(); sd != nil {
 		c.obsHits.Inc()
-		return sp
+		return sd
 	}
 	c.obsMisses.Inc()
 	// A spilled segment beats re-deriving: one verified disk read vs a
@@ -264,197 +320,267 @@ func (c *PartitionChecker) column(a attr.ID) *SortedPartition {
 	if sp == nil {
 		sp = &SortedPartition{}
 		var counts []int32
-		if !c.base.extendInto(sp, c.r.Col(a), c.stop, &counts) {
+		if !c.extend(&c.base.SortedPartition, sp, a, &counts) {
 			return nil
 		}
 	}
 	faultinject.Point("order.partition.cacheput")
-	slot.Store(sp)
-	c.obsClasses.Observe(int64(sp.NumClasses()))
-	return sp
+	sd := &Side{SortedPartition: *sp, Rank: c.r.Col(a)}
+	slot.Store(sd)
+	return sd
 }
 
-// derive returns the sorted partition of x∘y. A one-column list is its
-// cached partition and s is nil; a longer list is derived from its first
-// column's partition through the pooled scratch s, which the caller hands
-// back with release once it has scanned the result. A nil partition means
-// a stop aborted the derivation.
+// DeriveSide returns the side of x. The empty list and single columns are
+// served from the checker itself with a nil Scratch; a longer list is
+// derived from its first column's partition into pooled scratch, which the
+// caller hands back through Keep or Release. A nil side means a stop
+// aborted the derivation.
 // lint:hot
-func (c *PartitionChecker) derive(x, y attr.List) (sp *SortedPartition, s *scratch) {
-	n := len(x) + len(y)
-	at := func(i int) attr.ID {
-		if i < len(x) {
-			return x[i]
-		}
-		return y[i-len(x)]
-	}
-	if n == 0 {
+func (c *PartitionChecker) DeriveSide(x attr.List) (*Side, *Scratch) {
+	if len(x) == 0 {
 		return c.base, nil
 	}
-	sp = c.column(at(0))
-	if sp == nil || n == 1 {
-		return sp, nil
+	col := c.column(x[0])
+	if col == nil || len(x) == 1 || col.singletons() {
+		// Once every class is a single row, further attributes change
+		// nothing, and the column's codes already rank the rows.
+		return col, nil
 	}
-	s = c.scratch.Get().(*scratch)
-	dst := &s.a
-	// Once every class is a single row, further attributes change nothing.
-	for i := 1; i < n && sp.NumClasses() < len(sp.Idx); i++ {
-		if c.stopped() || !sp.extendInto(dst, c.r.Col(at(i)), c.stop, &s.counts) {
-			c.release(s)
+	s := c.scratch.Get().(*Scratch)
+	sp, dst, alt := &col.SortedPartition, &s.side.SortedPartition, &s.alt
+	for _, a := range x[1:] {
+		if sp.singletons() {
+			break
+		}
+		if c.stopped() || !c.extend(sp, dst, a, &s.counts) {
+			c.Release(s)
 			return nil, nil
 		}
 		sp = dst
-		if dst == &s.a {
-			dst = &s.b
-		} else {
-			dst = &s.a
-		}
+		dst, alt = alt, dst
 	}
-	c.obsClasses.Observe(int64(sp.NumClasses()))
-	return sp, s
+	if sp != &s.side.SortedPartition {
+		s.side.SortedPartition, s.alt = s.alt, s.side.SortedPartition
+	}
+	n := len(s.side.Idx)
+	if cap(s.rank) < n {
+		s.rank = make([]int32, n)
+	}
+	s.side.Rank = s.rank[:n]
+	s.side.fillRanks(s.side.Rank)
+	return &s.side, s
 }
 
-// release returns derivation scratch to the pool; nil is a no-op.
-func (c *PartitionChecker) release(s *scratch) {
+// ExtendSide derives the side of the parent's list ∘ [a] into pooled
+// scratch: one counting-sort pass, and no ranks until Keep fills them. A
+// parent whose classes are all single rows is its own extension and comes
+// back with a nil Scratch. A nil side means a stop aborted the derivation.
+func (c *PartitionChecker) ExtendSide(parent *Side, a attr.ID) (*Side, *Scratch) {
+	if parent.singletons() {
+		return parent, nil
+	}
+	s := c.scratch.Get().(*Scratch)
+	if c.stopped() || !c.extend(&parent.SortedPartition, &s.side.SortedPartition, a, &s.counts) {
+		c.Release(s)
+		return nil, nil
+	}
+	s.side.Rank = nil
+	return &s.side, s
+}
+
+// Keep returns a side the caller may hold for as long as it likes and
+// releases s. A side served without scratch is returned as is; a side in
+// scratch is copied into one allocation, with its ranks filled if
+// ExtendSide left them out.
+func (c *PartitionChecker) Keep(sd *Side, s *Scratch) *Side {
+	if s == nil {
+		return sd
+	}
+	n, k := len(sd.Idx), len(sd.Ends)
+	buf := make([]int32, 2*n+k)
+	out := &Side{
+		SortedPartition: SortedPartition{Idx: buf[:n:n], Ends: buf[2*n:]},
+		Rank:            buf[n : 2*n : 2*n],
+	}
+	copy(out.Idx, sd.Idx)
+	copy(out.Ends, sd.Ends)
+	if sd.Rank != nil {
+		copy(out.Rank, sd.Rank)
+	} else {
+		out.fillRanks(out.Rank)
+	}
+	c.Release(s)
+	return out
+}
+
+// Release returns derivation scratch to the pool; nil is a no-op.
+func (c *PartitionChecker) Release(s *Scratch) {
 	if s != nil {
 		c.scratch.Put(s)
 	}
+}
+
+// rankSide returns a side whose ranks are those of x. A single column's
+// codes rank its rows without any partition, so its side is built on the
+// spot; a longer list is derived through DeriveSide.
+func (c *PartitionChecker) rankSide(x attr.List) (*Side, *Scratch) {
+	if len(x) == 1 {
+		return &Side{Rank: c.r.Col(x[0])}, nil
+	}
+	return c.DeriveSide(x)
+}
+
+// scanMode says how far a scan must go.
+type scanMode int
+
+const (
+	// untilSwap decides X ~ Y: the scan stops at the first swap.
+	untilSwap scanMode = iota
+	// untilViolation decides X → Y: the scan stops at the first split or
+	// swap.
+	untilViolation
+	// classify finds both violation kinds, with witnesses.
+	classify
+)
+
+// scan is the one checking pass. It walks the classes of sp — one side's
+// partition — in ⪯ order and reads the other side's rank of every row:
+//
+//   - a split is a class whose minimum and maximum ranks differ (equal on
+//     the scanned side, different on the other);
+//   - a swap is a class whose minimum rank is below the running maximum of
+//     the earlier classes (strictly increasing on the scanned side,
+//     strictly decreasing on the other).
+//
+// X → Y holds iff the scan over X with Y's ranks finds neither (Theorem
+// 3.9); X ~ Y holds iff it finds no swap, and because a swap is symmetric
+// the scan may go over either side (Theorem 4.1). The other modes stop as
+// soon as their verdict is in; classify stops only once it has found both
+// kinds, and its witnesses are the first rows of the class holding its minimum and
+// maximum rank (split) and the first rows holding the running maximum and
+// the class minimum (swap). ok is false when a stop aborted the scan.
+// lint:hot
+func (c *PartitionChecker) scan(sp *SortedPartition, rank []int32, mode scanMode) (res ODResult, ok bool) {
+	maxRow, maxRank := int32(-1), int32(-1) // ranks are never negative
+	start := int32(0)
+	for k, end := range sp.Ends {
+		if uint32(k)&stopCheckMask == 0 && c.stopped() {
+			return res, false
+		}
+		cls := sp.Idx[start:end]
+		start = end
+		lo, hi := cls[0], cls[0]
+		loRank, hiRank := rank[lo], rank[lo]
+		if mode == classify || loRank >= maxRank {
+			for _, row := range cls[1:] {
+				r := rank[row]
+				if r < loRank {
+					lo, loRank = row, r
+				} else if r > hiRank {
+					hi, hiRank = row, r
+				} else {
+					continue
+				}
+				// A second rank is a split, a rank below the running
+				// maximum a swap: the rest of the class cannot change a
+				// verdict that is already in.
+				if mode == untilViolation || mode == untilSwap && loRank < maxRank {
+					break
+				}
+			}
+		}
+		if !res.HasSplit && loRank != hiRank {
+			res.HasSplit = true
+			res.SplitWitness = Violation{Kind: Split, P: int(lo), Q: int(hi)}
+		}
+		if !res.HasSwap && loRank < maxRank {
+			res.HasSwap = true
+			res.SwapWitness = Violation{Kind: Swap, P: int(maxRow), Q: int(lo)}
+		}
+		if res.HasSwap && mode != classify || res.HasSplit && (mode == untilViolation || res.HasSwap) {
+			break // nothing more to learn
+		}
+		if hiRank > maxRank {
+			maxRow, maxRank = hi, hiRank
+		}
+	}
+	res.Valid = !res.HasSplit && !res.HasSwap
+	return res, true
+}
+
+// check counts one check and runs one scan over x's partition reading y's
+// ranks. An aborted derivation (a nil side) or scan conservatively reports
+// both violation kinds, so no caller or pruning rule treats the candidate
+// as verified.
+func (c *PartitionChecker) check(x, y *Side, mode scanMode) ODResult {
+	c.checks.Add(1)
+	faultinject.Point("order.partition.check")
+	if x == nil || y == nil {
+		return ODResult{HasSplit: true, HasSwap: true}
+	}
+	res, ok := c.scan(&x.SortedPartition, y.Rank, mode)
+	if !ok {
+		return ODResult{HasSplit: true, HasSwap: true}
+	}
+	return res
+}
+
+// CheckOCDSides reports whether X ~ Y holds with one scan over x's
+// partition reading y's ranks (x's ranks are not needed). Either side may
+// be nil after an aborted derivation; the check then reports invalid.
+func (c *PartitionChecker) CheckOCDSides(x, y *Side) bool {
+	return !c.check(x, y, untilSwap).HasSwap
+}
+
+// CheckODSides reports whether X → Y holds with one scan over x's
+// partition reading y's ranks.
+func (c *PartitionChecker) CheckODSides(x, y *Side) bool {
+	return c.check(x, y, untilViolation).Valid
 }
 
 // Partition returns the sorted partition of the list as a fresh copy the
 // caller owns. A nil return means the derivation was aborted by the stop
 // flag.
 func (c *PartitionChecker) Partition(x attr.List) *SortedPartition {
-	sp, s := c.derive(x, nil)
-	defer c.release(s)
-	if sp == nil {
+	sd, s := c.DeriveSide(x)
+	defer c.Release(s)
+	if sd == nil {
 		return nil
 	}
-	return sp.clone()
+	return sd.clone()
 }
 
-// CheckOD reports whether X → Y holds, scanning X's sorted partition: rows
-// inside one class must agree on Y (else a split), and Y must never
-// decrease across the class sequence (else a swap).
-// lint:hot
+// odCheck runs one scan over X's side with Y's ranks.
+func (c *PartitionChecker) odCheck(x, y attr.List, mode scanMode) ODResult {
+	xs, sx := c.DeriveSide(x)
+	defer c.Release(sx)
+	ys, sy := c.rankSide(y)
+	defer c.Release(sy)
+	return c.check(xs, ys, mode)
+}
+
+// CheckOD reports whether X → Y holds: rows inside one class of X must
+// agree on Y (else a split), and Y must never decrease across the class
+// sequence (else a swap).
 func (c *PartitionChecker) CheckOD(x, y attr.List) bool {
-	c.checks.Add(1)
-	faultinject.Point("order.partition.check")
-	sp, s := c.derive(x, nil)
-	defer c.release(s)
-	if sp == nil {
-		return false // aborted derivation: conservatively invalid
-	}
-	r := c.r
-	prev := -1
-	start := int32(0)
-	for k, end := range sp.Ends {
-		if uint32(k)&stopCheckMask == 0 && c.stopped() {
-			return false // aborted scan: conservatively invalid
-		}
-		cls := sp.Idx[start:end]
-		rep := int(cls[0])
-		for _, row := range cls[1:] {
-			if CompareRows(r, rep, int(row), y) != 0 {
-				return false // split
-			}
-		}
-		if prev >= 0 && CompareRows(r, prev, rep, y) > 0 {
-			return false // swap
-		}
-		prev = rep
-		start = end
-	}
-	return true
+	return c.odCheck(x, y, untilViolation).Valid
 }
 
-// CheckOCD reports whether X ~ Y holds via Theorem 4.1's single check: in
-// the sorted partition of XY, the projection on YX must be non-decreasing.
-// Splits cannot occur (classes of XY agree on Y and X), so only the
-// cross-class scan is needed.
-// lint:hot
+// CheckOCD reports whether X ~ Y holds via Theorem 4.1's single check: no
+// swap between X and Y. The scan goes over the longer list, so a single
+// column on the other side is read straight from its rank codes.
 func (c *PartitionChecker) CheckOCD(x, y attr.List) bool {
-	c.checks.Add(1)
-	faultinject.Point("order.partition.check")
-	sp, s := c.derive(x, y)
-	defer c.release(s)
-	if sp == nil {
-		return false // aborted derivation: conservatively invalid
+	if len(y) > len(x) {
+		x, y = y, x
 	}
-	r := c.r
-	prev := -1
-	start := int32(0)
-	for k, end := range sp.Ends {
-		if uint32(k)&stopCheckMask == 0 && c.stopped() {
-			return false // aborted scan: conservatively invalid
-		}
-		rep := int(sp.Idx[start])
-		if prev >= 0 {
-			cmp := CompareRows(r, prev, rep, y)
-			if cmp == 0 {
-				cmp = CompareRows(r, prev, rep, x)
-			}
-			if cmp > 0 {
-				return false
-			}
-		}
-		prev = rep
-		start = end
-	}
-	return true
+	return !c.odCheck(x, y, untilSwap).HasSwap
 }
 
 // CheckODFull checks X → Y and classifies the violations: a class of X whose
 // rows differ on Y is a split; a row whose Y is below the largest Y of an
 // earlier class is a swap. Both witnesses are genuine violating pairs.
 func (c *PartitionChecker) CheckODFull(x, y attr.List) ODResult {
-	c.checks.Add(1)
-	faultinject.Point("order.partition.check")
-	sp, s := c.derive(x, nil)
-	defer c.release(s)
-	if sp == nil {
-		// Aborted derivation: conservatively report both violation kinds so
-		// no pruning rule treats the candidate as verified.
-		return ODResult{HasSplit: true, HasSwap: true}
-	}
-	r := c.r
-	res := ODResult{Valid: true}
-	start := int32(0)
-	// maxRow is the row with the largest Y over all earlier classes: a swap
-	// exists iff some class's smallest Y is below it.
-	maxRow := -1
-	for k, end := range sp.Ends {
-		if uint32(k)&stopCheckMask == 0 && c.stopped() {
-			return ODResult{HasSplit: true, HasSwap: true} // aborted scan
-		}
-		cls := sp.Idx[start:end]
-		start = end
-		lo, hi := int(cls[0]), int(cls[0])
-		for _, row := range cls[1:] {
-			if CompareRows(r, int(row), lo, y) < 0 {
-				lo = int(row)
-			}
-			if CompareRows(r, int(row), hi, y) > 0 {
-				hi = int(row)
-			}
-		}
-		if !res.HasSplit && lo != hi {
-			res.HasSplit = true
-			res.SplitWitness = Violation{Kind: Split, P: lo, Q: hi}
-		}
-		if !res.HasSwap && maxRow >= 0 && CompareRows(r, maxRow, lo, y) > 0 {
-			res.HasSwap = true
-			res.SwapWitness = Violation{Kind: Swap, P: maxRow, Q: lo}
-		}
-		if res.HasSplit && res.HasSwap {
-			break // nothing more to learn
-		}
-		if maxRow < 0 || CompareRows(r, hi, maxRow, y) > 0 {
-			maxRow = hi
-		}
-	}
-	res.Valid = !res.HasSplit && !res.HasSwap
-	return res
+	return c.odCheck(x, y, classify)
 }
 
 // OrderEquivalent reports X ↔ Y (both X → Y and Y → X hold).

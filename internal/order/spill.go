@@ -188,7 +188,7 @@ func (c *PartitionChecker) EvictToSpill() int {
 	}
 	n := 0
 	for i := range c.single {
-		if sp := c.single[i].Swap(nil); sp != nil && c.spillPartition(attr.ID(i), sp) {
+		if sd := c.single[i].Swap(nil); sd != nil && c.spillPartition(attr.ID(i), &sd.SortedPartition) {
 			n++
 		}
 	}
