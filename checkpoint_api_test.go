@@ -1,12 +1,15 @@
 package ocd
 
 import (
+	"encoding/csv"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+
+	"ocd/internal/checkpoint"
 )
 
 // TestCheckpointResumeAPI drives the public durable-run surface end to end:
@@ -84,5 +87,35 @@ func TestResumeFromRejectsTornSnapshot(t *testing.T) {
 	}
 	if _, err := tbl.Discover(Options{ResumeFrom: filepath.Join(dir, "missing.ckpt")}); err == nil {
 		t.Fatal("resume from a missing file must error")
+	}
+}
+
+// TestCheckpointFingerprintAcrossLoaders: LoadCSV, LoadCSVChunked at any
+// chunk size and NewTable encode through one path, so a checkpoint taken
+// on a table from one loader verifies against the same data from another.
+func TestCheckpointFingerprintAcrossLoaders(t *testing.T) {
+	data := taxCSV()
+	recs, err := csv.NewReader(strings.NewReader(data)).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := LoadCSV(strings.NewReader(data), "taxinfo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := checkpoint.FingerprintOf(base.rel, "taxinfo")
+	others := map[string]func() (*Table, error){
+		"LoadCSVChunked(1)": func() (*Table, error) { return LoadCSVChunked(strings.NewReader(data), "taxinfo", Chunked(1)) },
+		"LoadCSVChunked(4)": func() (*Table, error) { return LoadCSVChunked(strings.NewReader(data), "taxinfo", Chunked(4)) },
+		"NewTable":          func() (*Table, error) { return NewTable("taxinfo", recs[0], recs[1:]) },
+	}
+	for name, load := range others {
+		tbl, err := load()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := checkpoint.FingerprintOf(tbl.rel, "taxinfo"); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: fingerprint %+v, want %+v", name, got, want)
+		}
 	}
 }

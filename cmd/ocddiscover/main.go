@@ -16,9 +16,10 @@
 // -max-memory-bytes sets a soft heap budget; with -spill-dir the engine
 // rides out the budget by evicting checker state to recomputable spill
 // segments in that directory (out-of-core discovery) and only truncates
-// when even eviction cannot free memory. -chunked bounds ingestion memory
-// by dictionary-encoding the CSV in bounded row chunks; the loaded table is
-// identical to the whole-file loader's.
+// when even eviction cannot free memory. Ingestion always streams: the CSV
+// is dictionary-encoded in bounded row chunks, so load memory holds one
+// chunk of raw strings, not the whole file. -chunked is accepted as an
+// alias of that default and changes nothing.
 //
 // -progress renders a live status line (level, frontier, checks/s, cache hit
 // rate, ETA) on stderr. -metrics-out dumps the run's metrics registry as
@@ -78,7 +79,7 @@ func main() {
 		asJSON      = flag.Bool("json", false, "emit the result as JSON")
 		depsOut     = flag.String("deps-out", "", "write discovered dependencies in odverify's format to this file")
 		partialOK   = flag.Bool("partial-ok", false, "exit 0 instead of 3 when results are partial (truncated or interrupted)")
-		chunked     = flag.Bool("chunked", false, "ingest the CSV in bounded row chunks (identical table, bounded load memory)")
+		chunked     = flag.Bool("chunked", false, "alias of the default: every load streams the CSV in bounded row chunks")
 		maxMemory   = flag.Int64("max-memory-bytes", 0, "soft heap budget for discovery (0 = none)")
 		spillDir    = flag.String("spill-dir", "", "spill checker state to this directory under memory pressure instead of truncating")
 		ckptPath    = flag.String("checkpoint", "", "write a resumable snapshot to this file at every completed level")

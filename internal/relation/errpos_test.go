@@ -38,21 +38,54 @@ func TestCSVRaggedRowErrorIsOneBased(t *testing.T) {
 }
 
 // Numeric coercion errors carry the 1-based row of the offending value.
-// Type inference normally downgrades a column before encoding can fail, so
-// this exercises the defensive path directly.
+// Type inference picks a kind every distinct value parses as, so encoding
+// cannot fail through the loaders; this forces a kind on a builder to
+// exercise the defensive path directly.
 func TestCoercionErrorReportsRow(t *testing.T) {
-	_, _, _, _, err := encodeColumn([]string{"1", "2", "x"}, KindInt, nil, nil)
+	finalize := func(kind Kind, chunks ...[]string) error {
+		b := newColBuilder()
+		base := 0
+		for _, vals := range chunks {
+			chunk := make([][]string, len(vals))
+			for i, v := range vals {
+				chunk[i] = []string{v}
+			}
+			b.addChunk(chunk, 0, nil, base)
+			base += len(vals)
+		}
+		_, _, _, err := b.finalize(kind)
+		return err
+	}
+	err := finalize(KindInt, []string{"1", "2", "x"})
 	if err == nil || !strings.Contains(err.Error(), `row 3: value "x" does not parse as INTEGER`) {
 		t.Fatalf("int: err = %v, want row 3", err)
 	}
-	_, _, _, _, err = encodeColumn([]string{"1.5", "y", "2.5"}, KindFloat, nil, nil)
+	err = finalize(KindFloat, []string{"1.5", "y", "2.5"})
 	if err == nil || !strings.Contains(err.Error(), `row 2: value "y" does not parse as REAL`) {
 		t.Fatalf("float: err = %v, want row 2", err)
 	}
-	// Duplicates are deduped during encoding; the reported row must still be
-	// the first occurrence of the failing value.
-	_, _, _, _, err = encodeColumn([]string{"1", "x", "x"}, KindInt, nil, nil)
+	// Duplicates are deduped during encoding, also across chunks; the
+	// reported row must still be the first occurrence of the failing value.
+	err = finalize(KindInt, []string{"1", "x"}, []string{"x"})
 	if err == nil || !strings.Contains(err.Error(), "row 2:") {
 		t.Fatalf("dedup: err = %v, want first occurrence row 2", err)
+	}
+}
+
+// TestCSVErrorsInFileOrder: ingestion streams, so of a ragged row and a
+// malformed quote the one earlier in the file is reported, whatever the
+// chunk size.
+func TestCSVErrorsInFileOrder(t *testing.T) {
+	cases := []struct{ csv, want string }{
+		{"a,b\n1,2\n3\n4,5\nx\"y,6\n", "row 2 has 1 fields, want 2"},
+		{"a,b\n1,2\nx\"y,3\n4\n", `bare " in non-quoted-field`},
+	}
+	for _, c := range cases {
+		for _, chunkRows := range []int{1, 0} {
+			_, err := ReadCSV(strings.NewReader(c.csv), "t", CSVOptions{ChunkRows: chunkRows})
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%q ChunkRows=%d: err = %v, want %q", c.csv, chunkRows, err, c.want)
+			}
+		}
 	}
 }

@@ -86,6 +86,13 @@ func cmpValues(t *testing.T, kind Kind, a, b string) int {
 	case bn:
 		return 1
 	}
+	return cmpNonNull(t, kind, a, b)
+}
+
+// cmpNonNull orders two non-NULL values of a column of the given kind:
+// numerically for INTEGER and REAL (NaN first, all NaNs equal), byte-wise
+// for TEXT; distinct spellings of one number compare equal.
+func cmpNonNull(t *testing.T, kind Kind, a, b string) int {
 	switch kind {
 	case KindInt:
 		ia, err := strconv.ParseInt(a, 10, 64)

@@ -12,8 +12,9 @@ import (
 	"ocd/internal/attr"
 )
 
+// TestInferKind runs inference through the encoder, which hands inferKind
+// only a column's distinct non-NULL values.
 func TestInferKind(t *testing.T) {
-	nulls := Options{}.nullSet()
 	cases := []struct {
 		raw  []string
 		want Kind
@@ -28,8 +29,16 @@ func TestInferKind(t *testing.T) {
 		{[]string{"99999999999999999999"}, KindFloat}, // overflows int64
 	}
 	for _, c := range cases {
-		if got := inferKind(c.raw, nulls); got != c.want {
-			t.Errorf("inferKind(%v) = %v, want %v", c.raw, got, c.want)
+		rows := make([][]string, len(c.raw))
+		for i, s := range c.raw {
+			rows[i] = []string{s}
+		}
+		r, err := FromStrings("t", []string{"X"}, rows, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := r.Kinds[0]; got != c.want {
+			t.Errorf("kind of %v = %v, want %v", c.raw, got, c.want)
 		}
 	}
 }

@@ -3,7 +3,9 @@ package relation
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -81,5 +83,50 @@ func TestNilStopUnaffected(t *testing.T) {
 	}
 	if r.NumRows() != 1000 || r.NumCols() != 4 {
 		t.Fatalf("got %dx%d, want 1000x4", r.NumRows(), r.NumCols())
+	}
+}
+
+// TestStopNeverEnteredConcurrently: column workers poll Stop through one
+// latch, so a Stop func with no synchronisation of its own is safe. Each
+// call lingers so that two overlapping calls would be caught.
+func TestStopNeverEnteredConcurrently(t *testing.T) {
+	const cols, rows = 32, 3000
+	header := make([]string, cols)
+	for c := range header {
+		header[c] = fmt.Sprint("c", c)
+	}
+	data := make([][]string, rows)
+	for i := range data {
+		data[i] = make([]string, cols)
+		for c := range data[i] {
+			data[i][c] = fmt.Sprint(i % (c + 2))
+		}
+	}
+	var sb strings.Builder
+	sb.WriteString(strings.Join(header, ",") + "\n")
+	for _, row := range data {
+		sb.WriteString(strings.Join(row, ",") + "\n")
+	}
+	for _, procs := range []int{1, 4} {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		var inFlight, overlaps, calls atomic.Int32
+		stop := func() bool {
+			if inFlight.Add(1) > 1 {
+				overlaps.Add(1)
+			}
+			calls.Add(1)
+			time.Sleep(20 * time.Microsecond)
+			inFlight.Add(-1)
+			return false
+		}
+		if _, err := FromStrings("t", header, data, Options{Stop: stop}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadCSV(strings.NewReader(sb.String()), "t", CSVOptions{Options: Options{Stop: stop}}); err != nil {
+			t.Fatal(err)
+		}
+		if n := overlaps.Load(); n > 0 {
+			t.Errorf("GOMAXPROCS=%d: Stop entered concurrently %d times in %d calls", procs, n, calls.Load())
+		}
 	}
 }

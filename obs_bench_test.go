@@ -45,7 +45,8 @@ func BenchmarkObsOverhead(b *testing.B) {
 	})
 }
 
-// BenchmarkPhase_Parse measures CSV ingestion alone (the "parse" span).
+// BenchmarkPhase_Parse measures ReadCSV end to end: the "parse" span (CSV
+// read and per-chunk dictionary build) plus the "rank-encode" span.
 func BenchmarkPhase_Parse(b *testing.B) {
 	load()
 	var sb strings.Builder
@@ -62,8 +63,9 @@ func BenchmarkPhase_Parse(b *testing.B) {
 	}
 }
 
-// BenchmarkPhase_RankEncode measures typed rank encoding alone (the
-// "rank-encode" span): string rows already in memory, relation out.
+// BenchmarkPhase_RankEncode measures FromStrings end to end: string rows
+// already in memory go through the same dictionary build and
+// "rank-encode" span as ReadCSV, without the CSV read.
 func BenchmarkPhase_RankEncode(b *testing.B) {
 	load()
 	r := benchData.letter

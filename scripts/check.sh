@@ -57,7 +57,8 @@
 #                                output to parse into the trajectory
 #                                format (cmd/benchjson); full trajectory
 #                                runs stay manual (make bench)
-#  11. fuzz smokes               FuzzCSVParse, FuzzRankEncode and
+#  11. fuzz smokes               FuzzCSVParse, FuzzRankEncode,
+#                                FuzzChunkedEquivalence and
 #                                FuzzCheckpointDecode for FUZZTIME each
 #                                (default 10s)
 #
@@ -110,7 +111,7 @@ step "bench smoke (scripts/bench.sh --smoke)"
 scripts/bench.sh --smoke
 
 if [ "$FUZZTIME" != "0" ]; then
-    for target in FuzzCSVParse FuzzRankEncode; do
+    for target in FuzzCSVParse FuzzRankEncode FuzzChunkedEquivalence; do
         step "fuzz $target ($FUZZTIME)"
         go test -run='^$' -fuzz="^${target}\$" -fuzztime="$FUZZTIME" ./internal/relation/
     done

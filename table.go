@@ -92,9 +92,9 @@ func buildConfig(opts []LoadOption) loadConfig {
 	return c
 }
 
-// Chunked bounds the row buffer of LoadCSVChunked / LoadCSVFileChunked;
-// values < 1 select the default (relation.DefaultChunkRows). It has no
-// effect on the whole-file loaders.
+// Chunked bounds the raw CSV records every loader buffers at a time;
+// values < 1 select the default (relation.DefaultChunkRows). The table
+// does not depend on it.
 func Chunked(rows int) LoadOption {
 	return func(c *loadConfig) { c.csv.ChunkRows = rows }
 }
@@ -110,7 +110,8 @@ func LoadCSVFile(path string, opts ...LoadOption) (*Table, error) {
 	return &Table{rel: rel}, nil
 }
 
-// LoadCSV reads CSV data from r into a Table named name.
+// LoadCSV reads CSV data from r into a Table named name, streaming it in
+// chunks of Chunked(n) records.
 func LoadCSV(r io.Reader, name string, opts ...LoadOption) (*Table, error) {
 	c := buildConfig(opts)
 	rel, err := relation.ReadCSV(r, name, c.csv)
@@ -120,13 +121,11 @@ func LoadCSV(r io.Reader, name string, opts ...LoadOption) (*Table, error) {
 	return &Table{rel: rel}, nil
 }
 
-// LoadCSVChunked reads CSV data from r into a Table with bounded row
-// buffering: records are dictionary-encoded as they arrive in chunks of
-// Chunked(n) rows, so peak memory holds one chunk of raw strings plus the
-// distinct values of each column instead of the whole file. The resulting
-// Table is cell-for-cell identical to LoadCSV's — same codes, same display
-// values, same checkpoint fingerprint — so checkpoints and results from
-// the two loaders are interchangeable.
+// LoadCSVChunked is LoadCSV. Every loader streams: records are
+// dictionary-encoded as they arrive in chunks of Chunked(n) rows, so peak
+// memory holds one chunk of raw strings plus the distinct values of each
+// column instead of the whole file. The name stays for callers that ask
+// for bounded ingestion explicitly.
 func LoadCSVChunked(r io.Reader, name string, opts ...LoadOption) (*Table, error) {
 	c := buildConfig(opts)
 	rel, err := relation.ReadCSVChunked(r, name, c.csv)
@@ -136,15 +135,9 @@ func LoadCSVChunked(r io.Reader, name string, opts ...LoadOption) (*Table, error
 	return &Table{rel: rel}, nil
 }
 
-// LoadCSVFileChunked is LoadCSVChunked over the file at path, named like
-// LoadCSVFile.
+// LoadCSVFileChunked is LoadCSVFile; see LoadCSVChunked.
 func LoadCSVFileChunked(path string, opts ...LoadOption) (*Table, error) {
-	c := buildConfig(opts)
-	rel, err := relation.ReadCSVFileChunked(path, c.csv)
-	if err != nil {
-		return nil, c.wrapLoadErr(err)
-	}
-	return &Table{rel: rel}, nil
+	return LoadCSVFile(path, opts...)
 }
 
 // NewTable builds a Table from raw string rows (row-major) with the given
